@@ -7,6 +7,13 @@ standard errors; the band of ``benchmarks/test_fig7_sweep_speedup.py``.  A
 run of one or two trajectories can report a standard error of zero, so the
 run's error is at least the reference's per-trajectory spread over the
 square root of the run's trajectory count.
+
+At one trajectory per point that band is wider than a fidelity's range, so
+a point alone cannot fail it.  The run is therefore also checked as a
+whole (:func:`pooled_failure`): the mean deviation from the reference over
+every simulated point of every repetition must fall within the same band,
+with ``sigma`` the standard error of that mean.  If it does not, every
+simulated point fails.
 """
 
 from __future__ import annotations
@@ -38,9 +45,18 @@ def load_reference() -> dict:
     return json.loads(REFERENCE.read_text())["points"]
 
 
-def check_rows(rows: list[dict], reference: dict) -> dict[str, str]:
-    """Map each failing point's id to the reason it failed."""
+def band(variance: float) -> float:
+    return SIGMAS * math.sqrt(variance) + SLACK
+
+
+def check_rows(rows: list[dict], reference: dict) -> tuple[dict[str, str], list[list]]:
+    """Failing points (id -> reason) and each simulated point's deviation.
+
+    A deviation is ``[id, fidelity - reference, variance of that difference]``,
+    the input of :func:`pooled_failure`.
+    """
     failures = {}
+    deviations = []
     for row in rows:
         key = point_id(row)
         expected = reference.get(key)
@@ -57,12 +73,27 @@ def check_rows(rows: list[dict], reference: dict) -> dict[str, str]:
         spread = expected["trajectory_std"]
         run_error = max(row["std_error"], spread / math.sqrt(n))
         ref_error = spread / math.sqrt(expected["trajectories"])
-        band = SIGMAS * math.hypot(run_error, ref_error) + SLACK
-        if abs(row["fidelity"] - expected["fidelity"]) > band:
+        variance = run_error**2 + ref_error**2
+        delta = row["fidelity"] - expected["fidelity"]
+        deviations.append([key, delta, variance])
+        if abs(delta) > band(variance):
             failures[key] = (
-                f"fidelity {row['fidelity']:.4f} outside {expected['fidelity']:.4f} +- {band:.4f}"
+                f"fidelity {row['fidelity']:.4f} outside "
+                f"{expected['fidelity']:.4f} +- {band(variance):.4f}"
             )
-    return failures
+    return failures, deviations
+
+
+def pooled_failure(deviations: list[list]) -> str | None:
+    """Why the mean deviation of many points is out of band, or ``None``."""
+    if not deviations:
+        return None
+    n = len(deviations)
+    mean = sum(delta for _, delta, _ in deviations) / n
+    limit = band(sum(variance for *_, variance in deviations) / n**2)
+    if abs(mean) <= limit:
+        return None
+    return f"mean fidelity deviation over {n} points {mean:+.4f} outside +-{limit:.4f}"
 
 
 def _same(warm, cold) -> bool:

@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
         rows = json.loads(rows_path.read_text())
-        failures = check.check_rows(rows, check.load_reference())
+        failures, deviations = check.check_rows(rows, check.load_reference())
         drifted = 0
         if args.cold_rows is not None:
             warm_failures, drifted = check.compare_warm(rows, json.loads(args.cold_rows.read_text()))
@@ -85,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             points=len(rows),
             trajectories=sum(check.trajectories(row) for row in rows),
             failures=failures,
+            deviations=deviations,
             warm_drifted=drifted,
             environment=environment(),
         )

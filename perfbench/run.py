@@ -11,8 +11,8 @@ Workloads (see ``BENCHMARK.json`` for why each exists): ``fig7-cold``,
 fresh interpreter (``child.py``) whose environment keeps no ``REPRO_*`` knob
 except those the workload sets, working in a fresh scratch directory inside
 the checkout that is deleted afterwards.  Repetitions use seeds derived from
-``--seed`` and start while the run is predicted to stay within
-``--seconds`` (at least one always runs).
+``--seed`` and start until ``--seconds`` have passed, so the last one
+may overrun and at least one always runs.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted`` (grid points evaluated), ``failed`` and ``metrics``: the
@@ -35,6 +35,7 @@ import sys
 import time
 from pathlib import Path
 
+import check
 import workloads
 from spans import tail
 
@@ -42,7 +43,7 @@ ROOT = Path.cwd()
 HERE = Path(__file__).resolve().parent
 CHILD_TIMEOUT_S = 170
 MIN_SETUP_SAMPLES = 5
-WARM_RUNS = 2  # measured calls per populated cache directory
+WARM_RUNS = 4  # measured calls per populated cache directory
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -74,14 +75,15 @@ def directory_mb(path: Path) -> float:
     return sum(f.stat().st_size for f in path.rglob("*") if f.is_file()) / 2**20
 
 
-def child_env(scratch: Path) -> dict[str, str]:
-    """The caller's environment without ``REPRO_*`` knobs, confined to ``scratch``.
+def child_env(workload, scratch: Path) -> dict[str, str]:
+    """The caller's environment with only the workload's ``REPRO_*`` knobs,
+    confined to ``scratch``.
 
     BLAS runs single-threaded: every workload is one serial process, and a
     fixed thread count keeps results independent of the machine's core count.
     """
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=str(ROOT / "src"), TMPDIR=str(scratch), **BLAS_THREADS)
+    env.update(workload.env, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(scratch), **BLAS_THREADS)
     return env
 
 
@@ -93,7 +95,7 @@ def repetition(workload, seed: int, scratch: Path, traces: list[int]) -> list[di
     and must reproduce the cold rows.
     """
     rep = scratch / f"seed{seed}"
-    env = child_env(scratch)
+    env = child_env(workload, scratch)
     args = ["--workload", workload.name, "--seed", str(seed)]
     try:
         populate_s = 0.0
@@ -118,14 +120,13 @@ def repetition(workload, seed: int, scratch: Path, traces: list[int]) -> list[di
 
 
 def repeat(seconds: float, measure) -> list:
-    """Call ``measure(i)`` while the next call is predicted to end in time."""
+    """Call ``measure(i)`` until ``seconds`` have passed; the last call may overrun."""
     results: list = []
-    durations: list[float] = []
+    calls = 0
     start = time.monotonic()
-    while not results or time.monotonic() - start + statistics.median(durations) <= seconds:
-        began = time.monotonic()
-        results.extend(measure(len(durations)))
-        durations.append(time.monotonic() - began)
+    while time.monotonic() - start < seconds:
+        results.extend(measure(calls))
+        calls += 1
     return results
 
 
@@ -135,7 +136,8 @@ def end_to_end(workload, seed, seconds, scratch) -> tuple[dict, list[dict], dict
     setups = [r["setup_s"] for r in reps]
     while len(setups) < MIN_SETUP_SAMPLES and not workload.warm:
         probe = ["--workload", workload.name, "--seed", str(seed), "--phase", "setup"]
-        setups.append(spawn(probe, child_env(scratch), scratch / f"setup{len(setups)}")["setup_s"])
+        out = scratch / f"setup{len(setups)}"
+        setups.append(spawn(probe, child_env(workload, scratch), out)["setup_s"])
     walls = [r["wall_s"] for r in reps]
     values = {
         "wall_s": statistics.median(walls),
@@ -175,14 +177,13 @@ def per_layer(workload, seed, seconds, scratch) -> tuple[dict, list[dict], dict]
 
 
 def git_commit() -> str:
-    head = ROOT / ".git" / "HEAD"
-    if not head.is_file():
-        return "unknown (not a git checkout)"
-    text = head.read_text().strip()
-    if text.startswith("ref: "):
-        ref = ROOT / ".git" / text[5:]
-        return ref.read_text().strip() if ref.is_file() else text[5:]
-    return text
+    try:
+        process = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, timeout=30
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return process.stdout.strip() if process.returncode == 0 else "unknown"
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: int, spec: dict) -> dict:
@@ -199,6 +200,13 @@ def run_workload(name: str, seed: int, seconds: float, trace: int, spec: dict) -
         except OSError:
             pass  # another run still uses it
     declared = spec["per_layer" if trace else "end_to_end"]
+    # Calls on one seed (warm reruns, traced twins) repeat the same rows.
+    distinct = {(r["seed"], d[0]): d for r in reps for d in r["deviations"]}
+    pooled = check.pooled_failure(list(distinct.values()))
+    if pooled is not None:
+        for r in reps:
+            for key, *_ in r["deviations"]:
+                r["failures"].setdefault(key, pooled)
     failures = [f"seed {r['seed']}: {k}: {v}" for r in reps for k, v in r["failures"].items()]
     return {
         "workload": name,

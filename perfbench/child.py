@@ -5,8 +5,9 @@ Started by ``run.py`` in a fresh interpreter for every repetition, with
 interpreter start-up and imports.  Writes ``result.json`` into ``--out``:
 
 * ``--phase setup`` stops where the driver would be called (a set-up sample),
-* ``--phase run`` calls the driver, then records wall time, peak RSS and the
-  correctness failures of the rows it wrote; ``--cold-rows`` additionally
+* ``--phase run`` calls the driver, then records wall time, peak RSS, the
+  self time of each unit of the call's work (``spans.install_units``) and
+  the correctness failures of the rows it wrote; ``--cold-rows`` additionally
   compares them with a cold run's rows (see ``check.compare_warm``),
 * ``--trace 1`` wraps every layer first and adds the per-layer metrics.
 """
@@ -61,7 +62,12 @@ def main(argv: list[str] | None = None) -> int:
     workload = workloads.WORKLOADS[args.workload]
     args.out.mkdir(parents=True, exist_ok=True)
     tracer = spans.Tracer()
-    read_counters = spans.install(tracer) if args.trace else None
+    read_counters = None
+    if args.trace:
+        read_counters = spans.install(tracer)
+    else:
+        spans.install_units(tracer)
+        tracer.log = []
     rows_path = args.out / f"{workload.table}.json"
     runner = SweepRunner(
         max_workers=1, csv_path=args.out / f"{workload.table}.csv", json_path=rows_path
@@ -88,6 +94,7 @@ def main(argv: list[str] | None = None) -> int:
             deviations=deviations,
             warm_drifted=drifted,
             environment=environment(),
+            units=tracer.log,
         )
         if args.trace:
             result["layers"] = spans.layer_metrics(tracer, read_counters())

@@ -59,6 +59,8 @@ class Tracer:
         self.calls: dict[str, int] = defaultdict(int)
         self.counts: dict[str, float] = defaultdict(float)
         self.samples: dict[str, list[float]] = defaultdict(list)
+        #: ``(span, self time)`` of every call in order, when a list.
+        self.log: list[tuple[str, float]] | None = None
 
     def wrap(
         self,
@@ -87,6 +89,8 @@ class Tracer:
                 tracer.calls[span] += 1
                 if keep_samples:
                     tracer.samples[span].append(elapsed)
+                if tracer.log is not None:
+                    tracer.log.append((span, elapsed - children[0]))
             if on_exit is not None:
                 on_exit(result, args, kwargs)
             return result
@@ -124,12 +128,24 @@ def _kernel_span(args: tuple, kwargs: dict) -> str:
     return f"noise.program.kernel.{kernel.kind}"
 
 
+def install_units(tracer: Tracer) -> None:
+    """Wrap the units a driver call's work splits into: every artifact-graph
+    node's build and every grid point's evaluation (a few hundred spans)."""
+    from repro.artifacts import providers
+
+    for cls in vars(providers).values():
+        if isinstance(cls, type) and issubclass(cls, providers.Provider) and "build" in vars(cls):
+            tracer.patch_method(cls, "build", f"artifacts.provider.{cls.name}")
+    tracer.patch_function(
+        "repro.experiments.sweep", "evaluate_point", "experiments.sweep.point", keep_samples=True
+    )
+
+
 def install(tracer: Tracer) -> Callable[[], dict[str, float]]:
     """Wrap every traced layer; return a callable reading the layer counters."""
     import repro.backends.numpy_backend  # noqa: F401  (binds apply_unitary)
     import repro.noise.adaptive  # noqa: F401  (imported lazily by the program)
     import repro.noise.fastpath as fastpath
-    from repro.artifacts import providers
     from repro.artifacts.graph import Graph
     from repro.core import compile_cache, pipeline, storage
     from repro.noise.batched import BatchedTrajectoryEngine
@@ -182,10 +198,7 @@ def install(tracer: Tracer) -> Callable[[], dict[str, float]]:
     fn("repro.core.storage", "atomic_write_bytes", "core.storage.write", bytes_written)
     fn("repro.core.storage", "read_bytes", "core.storage.read", bytes_read)
     tracer.patch_method(Graph, "compute_many", "artifacts.graph", remember_graph)
-    for cls in vars(providers).values():
-        if isinstance(cls, type) and issubclass(cls, providers.Provider) and "build" in vars(cls):
-            tracer.patch_method(cls, "build", f"artifacts.provider.{cls.name}")
-    fn("repro.experiments.sweep", "evaluate_point", "experiments.sweep.point", keep_samples=True)
+    install_units(tracer)
     fn("repro.noise.program", "compile_program", "noise.program.compile", program_steps)
     fn("repro.noise.program", "apply_kernel_batch", _kernel_span, kernel_bytes)
     fn("repro.noise.program", "apply_kernel", _kernel_span, kernel_bytes)

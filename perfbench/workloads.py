@@ -4,10 +4,9 @@ Every workload runs a paper figure's grid through a public driver entry
 point with ``SweepRunner(max_workers=1)``; the runner writes the table's CSV
 and JSON renderings, so the timed call ends with the last artifact written.
 Trajectory budgets, and the largest sizes of two grids, are trimmed from
-the paper's so a run fits the benchmark's run length and averages enough
-seeds to be steady.  ``repro`` is
-imported inside the functions only, so the orchestrating process never
-loads it.
+the paper's so a run fits several repetitions in the benchmark's run length.
+``repro`` is imported inside the functions only, so the orchestrating
+process never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ FIG7_TRAJECTORIES = 1
 # twice, as at paper scale.
 FIG7_ENV = (("REPRO_FASTPATH_MEMORY_MB", "64"),)
 # Fig. 9a without its 9-qubit size: the 4^9 points put most of a warm rerun
-# into replaying a handful of deviating trajectories, so one seed's wall time
-# swung by 20-40% and too few seeds fit in a run to average it out.
+# into replaying a handful of deviating trajectories, so its wall time swung
+# by 20-40% from seed to seed.
 FIG9A_SIZES = (5, 7)
 FIG9A_TRAJECTORIES = 64
 # 61 and 81 would triple the run and more; the regime is the same, and a

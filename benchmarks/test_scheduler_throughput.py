@@ -1,11 +1,12 @@
-"""Throughput of the lease-based scheduler versus static sharding (ISSUE 7).
+"""Throughput of the lease-based scheduler versus an unsharded run.
 
-Drains the same Figure 7 mini-grid twice on one machine — once as two
-statically planned shards (``run_shard``), once as two sequential
-``LeasedWorker`` passes pulling from one job — and reports points/second
-for each, plus their ratio.  The dynamic path's overhead budget is lease
-churn (claim, renew bookkeeping, done markers), so the ratio should stay
-near 1.0 on a quiet machine; the benchmark is report-only because both
+Evaluates the same Figure 7 mini-grid twice on one machine — once as a
+plain ``SweepRunner(max_workers=1)`` run, once as two sequential
+``LeasedWorker`` passes pulling from one job — checks that the merge is
+byte-identical to the plain run, and reports points/second for each, plus
+their ratio.  The scheduler's overhead budget is lease churn (claim, renew
+bookkeeping, done markers, per-point row checkpoints), so the ratio should
+stay near 1.0 on a quiet machine; the benchmark is report-only because both
 numbers are dominated by the evaluation itself.
 
 A second, fake-clock pass measures **reclaim latency** — the time between
@@ -36,7 +37,6 @@ from repro.experiments.scheduler import (
     plan_job,
     save_job,
 )
-from repro.experiments.shard import ShardPlanner, merge_shards, run_shard, save_plan
 from repro.experiments.sweep import SweepRunner
 
 WORKLOADS = ("cnu",)
@@ -147,19 +147,19 @@ def _histogram(samples, bucket_width=0.5):
     return dict(sorted(buckets.items()))
 
 
-def test_scheduler_throughput_vs_static_sharding(once, benchmark, tmp_path, bench_artifact_dir):
+def test_scheduler_throughput_vs_unsharded(once, benchmark, tmp_path, bench_artifact_dir):
     points = _grid()
 
-    # Baseline: two statically planned shards, drained sequentially.
-    plan_dir = tmp_path / "plan"
-    plan = ShardPlanner(NUM_WORKERS).plan(points)
-    save_plan(plan, plan_dir)
+    # Baseline: the same grid in one plain in-process run.
+    unsharded = SweepRunner(
+        max_workers=1,
+        csv_path=tmp_path / "unsharded.csv",
+        json_path=tmp_path / "unsharded.json",
+    )
+    get_cache().clear_memory()
     start = time.perf_counter()
-    for shard_id in range(NUM_WORKERS):
-        get_cache().clear_memory()
-        run_shard(plan, shard_id, plan_dir, runner=SweepRunner(max_workers=1))
-    static_seconds = time.perf_counter() - start
-    static_merged = merge_shards(plan_dir)
+    unsharded.run(points)
+    unsharded_seconds = time.perf_counter() - start
 
     # Contender: one lease-coordinated job, drained by the same worker count.
     job_dir = tmp_path / "job"
@@ -184,17 +184,17 @@ def test_scheduler_throughput_vs_static_sharding(once, benchmark, tmp_path, benc
     leased_merged = merge_job(job_dir)
 
     # Same points, same bytes — the scheduler only changes who ran what.
-    assert leased_merged.csv_path.read_bytes() == static_merged.csv_path.read_bytes()
-    assert leased_merged.json_path.read_bytes() == static_merged.json_path.read_bytes()
+    assert leased_merged.csv_path.read_bytes() == unsharded.csv_path.read_bytes()
+    assert leased_merged.json_path.read_bytes() == unsharded.json_path.read_bytes()
 
-    static_pps = len(points) / max(static_seconds, 1e-9)
+    unsharded_pps = len(points) / max(unsharded_seconds, 1e-9)
     leased_pps = len(points) / max(leased_seconds, 1e-9)
     latencies = _reclaim_latencies(tmp_path, points)
     fault_counters = _fault_injection_counters(tmp_path, points)
     print(f"\nscheduler throughput ({len(points)} points, {NUM_WORKERS} sequential workers):")
-    print(f"  static shards:  {static_seconds:6.2f} s  ({static_pps:6.2f} points/s)")
+    print(f"  unsharded run:  {unsharded_seconds:6.2f} s  ({unsharded_pps:6.2f} points/s)")
     print(f"  leased workers: {leased_seconds:6.2f} s  ({leased_pps:6.2f} points/s)")
-    print(f"  relative throughput: {leased_pps / static_pps:6.2f} x")
+    print(f"  relative throughput: {leased_pps / unsharded_pps:6.2f} x")
     print(f"  reclaim latency samples: {[f'{sample:.2f}' for sample in latencies]}")
     print(f"  fault injection: {fault_counters}")
 
@@ -202,9 +202,9 @@ def test_scheduler_throughput_vs_static_sharding(once, benchmark, tmp_path, benc
         artifact = {
             "num_points": len(points),
             "num_workers": NUM_WORKERS,
-            "static_sharding": {"seconds": static_seconds, "points_per_sec": static_pps},
+            "unsharded": {"seconds": unsharded_seconds, "points_per_sec": unsharded_pps},
             "leased_scheduler": {"seconds": leased_seconds, "points_per_sec": leased_pps},
-            "relative_throughput": leased_pps / static_pps,
+            "relative_throughput": leased_pps / unsharded_pps,
             "reclaim_latency": {
                 "num_samples": len(latencies),
                 "min_s": min(latencies),

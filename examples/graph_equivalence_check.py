@@ -42,7 +42,7 @@ def main() -> int:
     from repro.core.compile_cache import get_cache
     from repro.experiments.cswap_study import cswap_study_points
     from repro.experiments.fidelity_sweep import fidelity_sweep_points
-    from repro.experiments.shard import named_grid_points
+    from repro.experiments.scheduler import named_grid_points
     from repro.experiments.sweep import SweepRunner
     from repro.noise.fastpath import reset_fastpath
 

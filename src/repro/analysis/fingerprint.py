@@ -1,11 +1,11 @@
 """Schema-fingerprint guards: AST hashes of schema-governed code regions.
 
-The compile cache (``CACHE_SCHEMA_VERSION``) and the shard store
+The compile cache (``CACHE_SCHEMA_VERSION``) and the lease-job store
 (``SHARD_SCHEMA_VERSION``) persist artifacts whose *meaning* is defined by
 specific code regions: the trajectory kernel arithmetic baked into cached
 no-jump records, the draw-replay order those records assume, the token
-functions that build cache keys, and the point-identity/plan layout of
-sharded sweeps.  Editing one of those regions without bumping the
+functions that build cache keys, and the point identity and job/lease
+layout of scheduled sweeps.  Editing one of those regions without bumping the
 governing schema version silently invalidates every warm artifact — a
 cache hit then replays stale bits, which no unit test of the new code can
 catch.
@@ -54,7 +54,7 @@ DEFAULT_MANIFEST_PATH = Path(__file__).with_name("fingerprints.json")
 #: Source file (relative to the src root) declaring each schema version.
 SCHEMA_FILES: dict[str, str] = {
     "CACHE_SCHEMA_VERSION": "repro/core/compile_cache.py",
-    "SHARD_SCHEMA_VERSION": "repro/experiments/shard.py",
+    "SHARD_SCHEMA_VERSION": "repro/experiments/scheduler.py",
 }
 
 
@@ -88,9 +88,9 @@ _CACHE_KEY_INVARIANT = (
     "aliases new requests onto incompatible cached entries"
 )
 _SHARD_INVARIANT = (
-    "point identity and plan layout are the durable identity of sharded "
-    "sweep artifacts; changing them without bumping SHARD_SCHEMA_VERSION "
-    "orphans or mismatches persisted shards on resume"
+    "point identity is the durable identity of scheduled sweep artifacts; "
+    "changing it without bumping SHARD_SCHEMA_VERSION orphans or "
+    "mismatches persisted jobs, markers and rows on resume"
 )
 _LEASE_INVARIANT = (
     "lease and job serialization is the durable state of the work-stealing "
@@ -147,13 +147,10 @@ REGIONS: tuple[Region, ...] = (
     _cache_key("error_model_token"),
     _cache_key("compilation_cache_key"),
     _cache_key("physical_token"),
-    # Shard identity (experiments/sweep.py + shard.py): resumable sweeps.
+    # Point identity (experiments/sweep.py + scheduler.py): resumable sweeps.
     _shard("repro/experiments/sweep.py", "point_key"),
-    _shard("repro/experiments/shard.py", "point_to_json"),
-    _shard("repro/experiments/shard.py", "point_from_json"),
-    _shard("repro/experiments/shard.py", "ShardPlan"),
-    _shard("repro/experiments/shard.py", "ShardPlanner.plan"),
-    _shard("repro/experiments/shard.py", "ShardManifest"),
+    _shard("repro/experiments/scheduler.py", "point_to_json"),
+    _shard("repro/experiments/scheduler.py", "point_from_json"),
     # Lease/job serialization (experiments/scheduler.py): work-stealing state.
     _lease("Lease"),
     _lease("JobSpec"),

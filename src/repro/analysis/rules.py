@@ -315,7 +315,7 @@ class PoolOutsideEngineRule(Rule):
     title = "process pool outside the sweep engine"
     invariant = (
         "single sweep engine: grid execution fans out only through "
-        "SweepRunner.iter_evaluate so checkpointing, sharding and "
+        "SweepRunner.iter_evaluate so checkpointing, leased scheduling and "
         "determinism guarantees hold for every experiment"
     )
     exempt = ("repro/experiments/sweep.py",)
@@ -534,12 +534,11 @@ class DirectArtifactWriteRule(Rule):
         "produces untracked artifacts the graph cannot replay or audit"
     )
     scope = ("repro/experiments/",)
-    # The sweep engine owns the writers; the shard and scheduler merge
-    # paths reproduce unsharded artifacts byte-for-byte from landed rows
-    # (their own CI-gated invariant) and predate the graph layer.
+    # The sweep engine owns the writers; the scheduler's merge path
+    # reproduces local-run artifacts byte-for-byte from landed rows
+    # (its own CI-gated invariant) and predates the graph layer.
     exempt = (
         "repro/experiments/sweep.py",
-        "repro/experiments/shard.py",
         "repro/experiments/scheduler.py",
     )
 
@@ -572,7 +571,7 @@ class RawDurableWriteRule(Rule):
     rule_id = "ENG006"
     title = "raw durable write outside the storage layer"
     invariant = (
-        "durable-I/O unification: every byte the cache, fastpath, shard, "
+        "durable-I/O unification: every byte the cache, fastpath, "
         "scheduler, serve and artifact layers publish goes through "
         "repro.core.storage (atomic, fault-injectable, retried, "
         "quarantine-aware); a bare write-mode open, os.replace/rename/link "

@@ -91,8 +91,7 @@ def scheduler_table_executor(
 
         spec = plan_job(list(points))
         job_dir = directory / spec.fingerprint[:16]
-        if not (job_dir / "job.json").exists():
-            save_job(spec, job_dir)
+        save_job(spec, job_dir)
         for index in range(max(num_workers, 1)):
             LeasedWorker(
                 job_dir,

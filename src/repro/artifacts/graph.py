@@ -11,7 +11,7 @@ dataclass, see :mod:`repro.artifacts.nodes`) contributes an
 ``identity_token()``, and its graph key is a SHA-256 over the provider
 fingerprint, the cache schema version and the keys of its dependencies —
 the same :func:`repro.core.compile_cache.fingerprint` discipline the
-compile cache and shard planner use.  Two nodes that hash identically
+compile cache and lease scheduler use.  Two nodes that hash identically
 (for example two figure tables labelled differently over the same points)
 are *the same artifact* and evaluate at most once per store; the planner
 collapses them.

@@ -3,8 +3,8 @@
 Compilations are deterministic functions of their inputs, so their outputs
 (:class:`~repro.core.compiler.CompilationResult` objects, compiled
 trajectory programs) can be shared by every process — ``SweepRunner``
-workers, repeated benchmark runs, and eventually machine shards — through a
-content-addressed store:
+workers, repeated benchmark runs, and leased workers on other machines —
+through a content-addressed store:
 
 * the **key** is a SHA-256 over the circuit's op stream, the strategy, the
   device topology, the error model, the resolved array backend and

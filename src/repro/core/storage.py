@@ -1,7 +1,7 @@
 """Unified durable-I/O layer: atomic writes, guarded reads, retry, quarantine.
 
 Before this module, five subsystems (the compile cache, fastpath record
-bundles, shard manifests/rows, the lease coordinator, serve job specs and
+bundles, the lease coordinator with its manifests/rows, serve job specs and
 artifact-graph persistence) each hand-rolled a tmp-write/rename or
 tmp-write/link protocol.  They now share one implementation with three
 properties none of the copies had:
@@ -257,8 +257,8 @@ def atomic_write_json(
 ) -> Path:
     """Publish JSON with tmp + ``os.replace`` so a kill never tears a file.
 
-    Shared by the sweep failure artifacts, the shard manifests/row stores,
-    the scheduler's markers and manifests, serve job specs and the
+    Shared by the sweep failure artifacts, the scheduler's markers,
+    manifests and row stores, serve job specs and the
     artifact providers: durable progress records are written exactly when
     crashes are likely, so they must never be half-written.  The bytes are
     ``json.dumps(payload, indent=2, default=str)`` — the historical format

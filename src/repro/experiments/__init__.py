@@ -18,12 +18,11 @@ All drivers accept size / trajectory-count arguments so the full paper-scale
 sweeps can be launched, while the defaults stay laptop-friendly (the same
 trade-off the paper makes against its 86 GB simulation ceiling).
 
-Grids run through :mod:`.sweep` on one machine, sharded statically across
-machines through :mod:`.shard` (``python -m repro.experiments.shard``), or
-drained dynamically by lease-coordinated workers through :mod:`.scheduler`
-and the :mod:`.serve` submission front (``python -m
-repro.experiments.serve``) — in every case the merged artifacts are
-byte-identical to the unsharded run.
+Grids run through :mod:`.sweep` on one machine, or are drained across
+machines by lease-coordinated workers through :mod:`.scheduler` (``python
+-m repro.experiments.scheduler``, or a figure driver's ``--dir`` flag) and
+the :mod:`.serve` submission front (``python -m repro.experiments.serve``)
+— the merged artifacts are byte-identical to the single-machine run.
 """
 
 from repro.experiments.runner import StrategyEvaluation, evaluate_strategy
@@ -39,18 +38,16 @@ __all__ = [
     "LeaseCoordinator",
     "LeasedWorker",
     "RandomizedBenchmarkingResult",
-    "ShardPlan",
-    "ShardPlanner",
     "StrategyEvaluation",
     "evaluate_strategy",
     "format_table1",
     "format_table2",
     "job_status",
     "merge_job",
-    "merge_shards",
     "plan_job",
     "point_key",
     "queue_status",
+    "retry_failed",
     "run_cswap_study",
     "run_coherence_sensitivity",
     "run_eps_study",
@@ -58,7 +55,6 @@ __all__ = [
     "run_gate_error_sensitivity",
     "run_gate_ratio_study",
     "run_interleaved_rb",
-    "run_shard",
     "submit_job",
     "summarize_improvements",
     "watch_job",
@@ -69,16 +65,13 @@ __all__ = [
 #: repro.experiments.<module>`` execute the module twice (runpy's
 #: found-in-sys.modules warning).
 _LAZY_EXPORTS = {
-    "ShardPlan": "shard",
-    "ShardPlanner": "shard",
-    "merge_shards": "shard",
-    "run_shard": "shard",
     "JobSpec": "scheduler",
     "LeaseCoordinator": "scheduler",
     "LeasedWorker": "scheduler",
     "job_status": "scheduler",
     "merge_job": "scheduler",
     "plan_job": "scheduler",
+    "retry_failed": "scheduler",
     "queue_status": "serve",
     "submit_job": "serve",
     "watch_job": "serve",

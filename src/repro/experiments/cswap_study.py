@@ -63,10 +63,10 @@ def run_cswap_study(
 
 
 def main(argv=None) -> int:
-    """CLI: run the Figure 9a study, optionally sharded across machines."""
+    """CLI: run the Figure 9a study here, or save it as a lease job (``--dir``)."""
     import argparse
 
-    from repro.experiments.shard import add_shard_arguments, run_sharded_driver
+    from repro.experiments.scheduler import add_driver_arguments, run_driver
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.cswap_study",
@@ -75,13 +75,13 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", nargs="+", type=int, default=[5, 7, 9])
     parser.add_argument("--trajectories", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
-    add_shard_arguments(parser)
+    add_driver_arguments(parser)
     args = parser.parse_args(argv)
 
     points = cswap_study_points(
         sizes=tuple(args.sizes), num_trajectories=args.trajectories, rng=args.seed
     )
-    return run_sharded_driver(points, args)
+    return run_driver(points, args)
 
 
 if __name__ == "__main__":

@@ -121,16 +121,15 @@ def summarize_improvements(
 
 
 def main(argv=None) -> int:
-    """CLI: run the Figure 7 sweep, optionally sharded across machines.
+    """CLI: run the Figure 7 sweep here, or save it as a lease job.
 
-    ``--shards N --shard-id K`` executes shard ``K`` of a deterministic
-    ``N``-way partition against the shared ``--dir`` (see
-    :mod:`repro.experiments.shard`); ``--merge`` reassembles the combined
-    CSV/JSON, byte-identical to an unsharded run of the same grid.
+    ``--dir DIR`` saves the grid as a job for workers on any number of
+    machines to drain (see :mod:`repro.experiments.scheduler`); its merge
+    is byte-identical to a local run of the same grid.
     """
     import argparse
 
-    from repro.experiments.shard import add_shard_arguments, run_sharded_driver
+    from repro.experiments.scheduler import add_driver_arguments, run_driver
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.fidelity_sweep",
@@ -140,7 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", nargs="+", type=int, default=[5, 7, 9])
     parser.add_argument("--trajectories", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
-    add_shard_arguments(parser)
+    add_driver_arguments(parser)
     args = parser.parse_args(argv)
 
     points = fidelity_sweep_points(
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
         num_trajectories=args.trajectories,
         rng=args.seed,
     )
-    return run_sharded_driver(points, args)
+    return run_driver(points, args)
 
 
 if __name__ == "__main__":

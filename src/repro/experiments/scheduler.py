@@ -1,21 +1,21 @@
-"""Lease-based work-stealing sweep coordinator (dynamic sharding).
+"""Lease-based work-stealing sweep coordinator: run one grid on many machines.
 
-PR 4's :mod:`repro.experiments.shard` partitions a grid *statically*: each
-machine owns a fixed slice, and a dead or straggling machine strands its
-points until an operator re-runs the shard.  This module replaces the
-partition with a **dynamic coordinator** that lives entirely on a shared
-filesystem — no server process, no network protocol, just atomic file
-operations every POSIX mount provides:
+The Fig. 7/9 fidelity sweeps are (workload x strategy x error-model) grids
+of :class:`~repro.experiments.sweep.SweepPoint` — embarrassingly parallel,
+with each point fully determined by picklable values and a seed.  This
+module spreads such a grid across processes and hosts through a **dynamic
+coordinator** that lives entirely on a shared filesystem — no server
+process, no network protocol, just atomic file operations every POSIX
+mount provides:
 
 * :class:`JobSpec` freezes a grid into a job: the points, an acquisition
-  policy (``fifo``, or ``cost-weighted`` — PR 4's LPT cost estimates
-  reused as a priority queue instead of a partition), and a fingerprint
-  binding every durable record to the exact grid, under the same
-  ``SHARD_SCHEMA_VERSION`` discipline as shard plans.  Adaptive points
-  (``num_trajectories="auto"`` / ``target_stderr``) are costed at the
-  fixed nominal budget :func:`~repro.experiments.shard.estimate_point_cost`
-  documents — their true count is decided by the data at run time, and
-  acquisition order never changes results anyway.
+  policy (``fifo``, or ``cost-weighted`` — longest-processing-time first,
+  using :func:`estimate_point_cost` as a priority queue), and a
+  fingerprint binding every durable record to the exact grid under
+  ``SHARD_SCHEMA_VERSION``.  Adaptive points (``num_trajectories="auto"`` /
+  ``target_stderr``) are costed at the fixed nominal budget
+  :func:`estimate_point_cost` documents — their true count is decided by
+  the data at run time, and acquisition order never changes results anyway.
 * :class:`LeaseCoordinator` hands out **leases**: per-point claim files
   whose creation (private write + link) and reclamation (rename into a
   graveyard) go through :mod:`repro.core.storage` and are atomic, so
@@ -26,11 +26,12 @@ operations every POSIX mount provides:
   workers get re-leased without an operator.
 * :class:`LeasedWorker` is the pull loop: acquire a lease, evaluate the
   point through :meth:`SweepRunner.iter_evaluate` (the same single-point
-  engine as ``run_shard`` and the unsharded runner), checkpoint the row
-  and a per-worker manifest in the shard formats, mark the point done,
-  repeat until the job drains.
+  engine as the in-process runner), checkpoint the row and a per-worker
+  manifest, mark the point done, repeat until the job drains.  A failed
+  point is recorded under ``failed/`` and not re-leased until
+  :func:`retry_failed` moves its marker aside.
 * :func:`merge_job` reassembles the per-worker row stores into combined
-  CSV/JSON artifacts **byte-identical to an unsharded ``SweepRunner``
+  CSV/JSON artifacts **byte-identical to an in-process ``SweepRunner``
   run** — for any worker count, kill schedule or lease-TTL setting
   (enforced by ``examples/scheduler_equivalence_check.py`` in CI).
 
@@ -49,7 +50,13 @@ Command line::
     python -m repro.experiments.scheduler plan   --grid fig7 --dir DIR
     python -m repro.experiments.scheduler work   --dir DIR --worker-id w0
     python -m repro.experiments.scheduler status --dir DIR
+    python -m repro.experiments.scheduler retry  --dir DIR
     python -m repro.experiments.scheduler merge  --dir DIR
+
+The Fig. 7 / Fig. 9a drivers save their own (flag-built) grid as a job
+with ``--dir``; workers then drain it with ``work`` as above::
+
+    python -m repro.experiments.fidelity_sweep --sizes 5 7 --dir DIR
 
 The async submission front (named jobs, watch-streaming) lives in
 :mod:`repro.experiments.serve`.
@@ -62,25 +69,19 @@ import json
 import os
 import threading
 import time
+import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core import env, storage
 from repro.core.compile_cache import fingerprint
-from repro.experiments.shard import (
-    SHARD_SCHEMA_VERSION,
-    MergeResult,
-    ShardError,
-    estimate_point_cost,
-    named_grid_points,
-    point_from_json,
-    point_to_json,
-)
 from repro.experiments.sweep import (
     PointFailure,
+    SweepFailure,
     SweepPoint,
     SweepRunner,
+    _compiled,
     atomic_write_json,
     point_key,
     sweep_rows,
@@ -91,25 +92,44 @@ from repro.experiments.sweep import (
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "JOB_POLICIES",
+    "SHARD_SCHEMA_VERSION",
     "JobSpec",
     "Lease",
     "LeaseCoordinator",
     "LeaseLost",
     "LeasedWorker",
+    "MergeResult",
     "SchedulerError",
     "WorkerManifest",
     "WorkerReport",
+    "add_driver_arguments",
+    "estimate_point_cost",
     "job_status",
     "landed_rows",
     "load_job",
     "main",
     "merge_job",
+    "named_grid_points",
     "plan_job",
+    "point_from_json",
+    "point_to_json",
+    "retry_failed",
+    "run_driver",
     "save_job",
 ]
 
 #: Supported lease-acquisition policies.
 JOB_POLICIES = ("fifo", "cost-weighted")
+
+#: Bump when point identity or the job/lease/manifest/marker layout
+#: changes; old state then errors loudly instead of being honoured.
+#: v2: points carry ``target_stderr`` (the adaptive sampling opt-in).
+SHARD_SCHEMA_VERSION = 2
+
+#: Planning-time trajectory stand-in for adaptive points: their true count
+#: is data-dependent (early stopping), so cost-weighted acquisition uses a
+#: fixed nominal budget — scheduling only, never results.
+_ADAPTIVE_PLANNING_TRAJECTORIES = 256
 
 #: Fallback lease time-to-live in seconds when ``REPRO_LEASE_TTL`` is unset.
 DEFAULT_LEASE_TTL = 30.0
@@ -118,8 +138,14 @@ DEFAULT_LEASE_TTL = 30.0
 DEFAULT_POLL_S = 0.5
 
 
-class SchedulerError(ShardError):
-    """Raised for invalid jobs, stale leases or incomplete merges."""
+class SchedulerError(RuntimeError):
+    """Raised for invalid jobs or grids, stale leases or incomplete merges."""
+
+
+#: The schema-fingerprinted :func:`point_to_json` region raises under this
+#: name; it is the same class, so every CLI's ``except SchedulerError``
+#: catches it.  Delete the alias at the next ``SHARD_SCHEMA_VERSION`` bump.
+ShardError = SchedulerError
 
 
 class LeaseLost(SchedulerError):
@@ -136,6 +162,83 @@ def _now() -> float:
     """
     # repro-lint: disable=DET002 -- lease deadlines are scheduling state, never artifact bytes
     return time.time()
+
+
+# ---------------------------------------------------------------------------
+# point serialization
+# ---------------------------------------------------------------------------
+
+
+def point_to_json(point: SweepPoint) -> dict:
+    """JSON-ready dict of one sweep point (exact round trip for all fields).
+
+    Workload kwargs must be JSON primitives: a tuple (or any richer object)
+    would silently come back as a different type, change the point's key and
+    make the stored job read as corrupt — so reject it here, with a message
+    that names the offending kwarg, before anything is written.
+    """
+    for name, value in point.workload_kwargs:
+        if value is not None and not isinstance(value, (str, int, float, bool)):
+            raise ShardError(
+                f"workload kwarg {name!r}={value!r} ({type(value).__name__}) is not a "
+                "JSON primitive; sharded plans require str/int/float/bool/None kwargs"
+            )
+    return {
+        "workload": point.workload,
+        "size": point.size,
+        "strategy": point.strategy,
+        "error_factor": point.error_factor,
+        "coherence_scale": point.coherence_scale,
+        "num_trajectories": point.num_trajectories,
+        "seed": point.seed,
+        "batch_size": point.batch_size,
+        "axis": point.axis,
+        "workload_kwargs": [[name, value] for name, value in point.workload_kwargs],
+        "workers": point.workers,
+        "target_stderr": point.target_stderr,
+    }
+
+
+def point_from_json(data: dict) -> SweepPoint:
+    """Rebuild a sweep point from :func:`point_to_json` output."""
+    return SweepPoint(
+        workload=data["workload"],
+        size=data["size"],
+        strategy=data["strategy"],
+        error_factor=data["error_factor"],
+        coherence_scale=data["coherence_scale"],
+        num_trajectories=data["num_trajectories"],
+        seed=data["seed"],
+        batch_size=data["batch_size"],
+        axis=data["axis"],
+        workload_kwargs=tuple((name, value) for name, value in data["workload_kwargs"]),
+        workers=data["workers"],
+        target_stderr=data["target_stderr"],
+    )
+
+
+def estimate_point_cost(point: SweepPoint) -> float:
+    """Estimated relative cost of one point: compiled op count x trajectories.
+
+    The compilation goes through the shared cache (`$REPRO_CACHE_DIR`), so
+    cost-weighted planning doubles as a cache warm-up: every worker that
+    later executes the point reuses the artifact the planner already
+    published.
+
+    Adaptive points stop when their data says so, which planning cannot
+    know; they are costed at a fixed nominal budget (capped by an explicit
+    integer ``num_trajectories`` when the point sets one).
+    """
+    compilation = _compiled(
+        point.workload, point.size, point.workload_kwargs, point.strategy, point.error_factor
+    )
+    if point.num_trajectories == "auto" or point.target_stderr is not None:
+        trajectories = _ADAPTIVE_PLANNING_TRAJECTORIES
+        if isinstance(point.num_trajectories, int) and point.num_trajectories > 0:
+            trajectories = min(trajectories, point.num_trajectories)
+    else:
+        trajectories = max(point.num_trajectories, 1)
+    return float(compilation.num_ops) * float(trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +323,8 @@ def plan_job(
     """Freeze a grid into a :class:`JobSpec`.
 
     ``cost-weighted`` evaluates ``cost_fn`` per point (the default compiles
-    through the shared cache, so planning doubles as a cache warm-up exactly
-    like :class:`~repro.experiments.shard.ShardPlanner`); ``fifo`` costs
-    nothing and leases points in grid order.
+    through the shared cache, so planning doubles as a cache warm-up);
+    ``fifo`` costs nothing and leases points in grid order.
     """
     points = tuple(points)
     if policy == "cost-weighted":
@@ -237,8 +339,22 @@ def _job_path(directory: Path) -> Path:
 
 
 def save_job(spec: JobSpec, directory: str | Path) -> Path:
-    """Write ``job.json`` under ``directory`` (atomically)."""
+    """Write ``job.json`` under ``directory`` (atomically).
+
+    Saving the job a directory already holds is a no-op; saving a
+    *different* grid there raises :class:`SchedulerError` instead of
+    letting its done markers and rows mix with the stored job's.
+    """
     path = _job_path(Path(directory))
+    if path.exists():
+        existing = load_job(directory)
+        if existing.fingerprint != spec.fingerprint:
+            raise SchedulerError(
+                f"{path.parent} already holds a job with a different grid "
+                f"({existing.fingerprint[:12]} != {spec.fingerprint[:12]}); "
+                "use a fresh directory"
+            )
+        return path
     atomic_write_json(path, spec.to_json())
     return path
 
@@ -319,7 +435,8 @@ class LeaseCoordinator:
         reclaimed/00042.<by>.<n>.json  graveyard of expired claims
         done/00042.json              completion markers {index, point_key}
         failed/00042.json            failure markers (PointFailure records)
-        workers/<id>/manifest.json   per-worker shard-style manifests
+        retried/00042.<n>.json       failure markers moved aside by retry_failed
+        workers/<id>/manifest.json   per-worker progress manifests
         workers/<id>/rows.json       per-worker row stores
 
     Claiming writes the lease to a unique private file and links it to the
@@ -494,7 +611,7 @@ class LeaseCoordinator:
         return path
 
     def fail(self, lease: Lease, record: dict) -> Path:
-        """Record a point's failure (it will not be re-leased) and release."""
+        """Record a point's failure (not re-leased until :func:`retry_failed`) and release."""
         payload = {"schema": SHARD_SCHEMA_VERSION, "index": lease.index, **record}
         path = atomic_write_json(self._failed_path(lease.index), payload)
         self._release(lease)
@@ -568,8 +685,8 @@ def landed_rows(directory: str | Path) -> dict[int, dict]:
     """Rows that have landed so far, keyed by global index, manifest-vouched.
 
     Only rows a worker manifest vouches for count (a kill between the row
-    and manifest checkpoints re-evaluates deterministically, exactly like
-    ``run_shard`` resume).  Duplicate rows from a benign double execution
+    and manifest checkpoints re-evaluates the point deterministically once
+    its lease expires).  Duplicate rows from a benign double execution
     are byte-identical, so last-writer-wins is safe.
     """
     directory = Path(directory)
@@ -594,15 +711,24 @@ def landed_rows(directory: str | Path) -> dict[int, dict]:
     return rows_by_index
 
 
+@dataclass(frozen=True)
+class MergeResult:
+    """Artifacts produced by :func:`merge_job`."""
+
+    csv_path: Path
+    json_path: Path
+    num_rows: int
+
+
 def merge_job(
     directory: str | Path,
     csv_path: str | Path | None = None,
     json_path: str | Path | None = None,
 ) -> MergeResult:
-    """Reassemble per-worker artifacts into the unsharded sweep's output.
+    """Reassemble per-worker artifacts into the local sweep's output.
 
     Rows are ordered by global grid index and written through the same
-    ``write_csv`` / ``write_json`` helpers the unsharded ``SweepRunner``
+    ``write_csv`` / ``write_json`` helpers the in-process ``SweepRunner``
     uses, so a fully completed job merges byte-identical to a
     single-machine run of the same grid — whatever the worker count, kill
     schedule or lease TTL was.  Failed or missing points raise
@@ -613,8 +739,8 @@ def merge_job(
     failed = _marker_indices(directory, "failed")
     if failed:
         raise SchedulerError(
-            f"{len(failed)} point(s) failed (indices {failed[:5]}); "
-            "inspect failed/ and re-submit before merging"
+            f"{len(failed)} point(s) failed (indices {failed[:5]}); inspect failed/, "
+            "then run `retry` and drain the job again before merging"
         )
     rows_by_index = landed_rows(directory)
     missing = [index for index in range(len(spec.points)) if index not in rows_by_index]
@@ -631,6 +757,41 @@ def merge_job(
     return MergeResult(csv_path=csv_path, json_path=json_path, num_rows=len(ordered))
 
 
+def retry_failed(directory: str | Path) -> list[int]:
+    """Make every failed point leasable again; return their indices.
+
+    Each ``failed/NNNNN.json`` marker moves into ``retried/`` as
+    ``NNNNN.<attempt>.json``, so the failure record is kept for audit and
+    nothing is deleted.  The move is in two steps: a
+    :func:`repro.core.storage.durable_rename` to a name only this call uses
+    claims the marker (a marker another retrier moved first is skipped),
+    then a :func:`repro.core.storage.durable_link` publishes it under the
+    next free attempt number, so a racing retrier can never replace an
+    earlier record.
+    """
+    directory = Path(directory)
+    load_job(directory)  # refuse a directory that holds no valid job
+    retried_dir = directory / "retried"
+    retried: list[int] = []
+    for index in _marker_indices(directory, "failed"):
+        retried_dir.mkdir(parents=True, exist_ok=True)
+        claim = retried_dir / f"{index:05d}.{uuid.uuid4().hex}.claim"
+        try:
+            storage.durable_rename(directory / "failed" / f"{index:05d}.json", claim)
+        except FileNotFoundError:
+            continue  # another retrier moved it first
+        attempt = len(list(retried_dir.glob(f"{index:05d}.*.json"))) + 1
+        while True:
+            try:
+                storage.durable_link(claim, retried_dir / f"{index:05d}.{attempt}.json")
+                break
+            except FileExistsError:
+                attempt += 1  # a racing retrier took this number
+        claim.unlink()
+        retried.append(index)
+    return retried
+
+
 # ---------------------------------------------------------------------------
 # workers
 # ---------------------------------------------------------------------------
@@ -638,7 +799,7 @@ def merge_job(
 
 @dataclass
 class WorkerManifest:
-    """Per-worker progress record in the shard-manifest format.
+    """Per-worker progress record, checkpointed after every point.
 
     ``completed`` maps the *global* point index (as a string: JSON keys) to
     the point's :func:`~repro.experiments.sweep.point_key`; ``failures``
@@ -756,11 +917,10 @@ class LeasedWorker:
     """Pull-based worker: lease, evaluate, checkpoint, repeat until drained.
 
     Point execution goes through :meth:`SweepRunner.iter_evaluate` — the
-    single point-execution engine shared with ``run_shard`` and the
-    unsharded runner — and every finished point checkpoints the row store
-    and then the per-worker manifest (the ``run_shard`` write order), so a
-    killed worker loses at most the point it was on, and that point's
-    lease expires into someone else's hands.
+    single point-execution engine shared with the in-process runner — and
+    every finished point checkpoints the row store and then the per-worker
+    manifest, so a killed worker loses at most the point it was on, and
+    that point's lease expires into someone else's hands.
 
     ``heartbeat=True`` renews the held lease from a daemon thread every
     ``ttl / 4`` real seconds, so a slow-but-alive worker is never
@@ -876,14 +1036,95 @@ class LeasedWorker:
 
 
 # ---------------------------------------------------------------------------
+# driver integration (Fig. 7 / Fig. 9 CLIs)
+# ---------------------------------------------------------------------------
+
+
+def add_driver_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the figure drivers' ``--dir / --max-workers / --csv / --json`` options."""
+    parser.add_argument(
+        "--dir",
+        dest="job_dir",
+        default=None,
+        metavar="DIR",
+        help="save the grid as a lease job here and exit; workers then run "
+        "`python -m repro.experiments.scheduler work --dir DIR`, then `merge`",
+    )
+    parser.add_argument("--max-workers", type=int, default=None, help="processes for a local run")
+    parser.add_argument("--csv", default=None, help="CSV artifact path of a local run")
+    parser.add_argument("--json", dest="json_out", default=None, help="JSON artifact path of a local run")
+
+
+def run_driver(points: Sequence[SweepPoint], args: argparse.Namespace) -> int:
+    """Shared driver logic behind the figure CLIs' :func:`add_driver_arguments`.
+
+    Without ``--dir`` the grid runs in this process through the artifact
+    graph.  With ``--dir`` the grid is saved as a ``fifo`` lease job (saving
+    the same grid again is a no-op) and nothing runs here.  Errors print as
+    clean messages with a non-zero exit code instead of raw tracebacks.
+    """
+    if args.job_dir is None:
+        from repro.artifacts.figures import compute_table
+
+        runner = SweepRunner(max_workers=args.max_workers, csv_path=args.csv, json_path=args.json_out)
+        try:
+            evaluations = compute_table(list(points), runner, name="cli")
+        except SweepFailure as error:
+            print(f"error: {error}")
+            return 1
+        print(f"evaluated {len(evaluations)} points")
+        return 0
+    if args.max_workers is not None or args.csv is not None or args.json_out is not None:
+        print(
+            "error: --max-workers/--csv/--json apply to a local run; with --dir pass "
+            "them to `scheduler work` and `scheduler merge`"
+        )
+        return 2
+    try:
+        path = save_job(plan_job(points), args.job_dir)
+    except SchedulerError as error:
+        print(f"error: {error}")
+        return 2
+    print(
+        f"job: {len(points)} points at {path}; drain it with "
+        f"`python -m repro.experiments.scheduler work --dir {args.job_dir}`"
+    )
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
+
+
+def named_grid_points(name: str) -> list[SweepPoint]:
+    """Named grids runnable straight from the CLI.
+
+    Shared with the serve front (``python -m repro.experiments.serve
+    submit``), so every orchestration layer names grids identically.  The
+    figure drivers are imported lazily: they import this module for their
+    own ``--dir`` flag, and the serve CLI stays cheap until a grid is built.
+    """
+    from repro.experiments.cswap_study import cswap_study_points
+    from repro.experiments.fidelity_sweep import fidelity_sweep_points
+
+    grids: dict[str, Callable[[], list[SweepPoint]]] = {
+        "fig7": lambda: fidelity_sweep_points(),
+        "fig7-mini": lambda: fidelity_sweep_points(
+            workloads=("cnu",), sizes=(5,), num_trajectories=4, rng=0
+        ),
+        "fig9a": lambda: cswap_study_points(),
+        "fig9a-mini": lambda: cswap_study_points(sizes=(5,), num_trajectories=4, rng=0),
+    }
+    if name not in grids:
+        raise SchedulerError(f"unknown grid {name!r}; expected one of {sorted(grids)}")
+    return grids[name]()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.scheduler",
-        description="Plan, work, inspect and merge lease-coordinated sweep jobs.",
+        description="Plan, work, inspect, retry and merge lease-coordinated sweep jobs.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -903,6 +1144,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     status_parser = commands.add_parser("status", help="summarize job progress")
     status_parser.add_argument("--dir", dest="job_dir", required=True)
+
+    retry_parser = commands.add_parser("retry", help="make failed points leasable again")
+    retry_parser.add_argument("--dir", dest="job_dir", required=True)
 
     merge_parser = commands.add_parser("merge", help="reassemble worker artifacts")
     merge_parser.add_argument("--dir", dest="job_dir", required=True)
@@ -932,6 +1176,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0 if report.num_failed == 0 else 1
         if args.command == "status":
             print(json.dumps(job_status(args.job_dir), indent=2))
+            return 0
+        if args.command == "retry":
+            retried = retry_failed(args.job_dir)
+            print(f"retried {len(retried)} failed point(s): {retried}")
             return 0
         if args.command == "merge":
             merged = merge_job(args.job_dir, csv_path=args.csv, json_path=args.json_out)

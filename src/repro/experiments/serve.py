@@ -16,7 +16,7 @@ adds the operator workflow around it:
   point's row as a JSON line the moment it lands — merged rows appear
   while workers are still draining the grid.
 * :func:`merge_result` reassembles a finished job into CSV/JSON artifacts
-  byte-identical to an unsharded run of the same grid.
+  byte-identical to a local run of the same grid.
 
 Every durable record under the queue root (job specs, leases, markers,
 row stores) is published through :mod:`repro.core.storage` by the
@@ -27,7 +27,7 @@ Workers attach to a submitted job with the scheduler CLI::
 
     python -m repro.experiments.scheduler work --dir ROOT/jobs/<job_id>
 
-Command line (mirroring the shard CLI)::
+Command line (mirroring the scheduler CLI)::
 
     python -m repro.experiments.serve submit --grid fig7 --dir ROOT
     python -m repro.experiments.serve status --dir ROOT [--job ID]
@@ -48,16 +48,17 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core import env
-from repro.experiments.shard import MergeResult
 from repro.experiments.scheduler import (
     DEFAULT_POLL_S,
     JobSpec,
+    MergeResult,
     SchedulerError,
     SweepPoint,
     job_status,
     landed_rows,
     load_job,
     merge_job,
+    named_grid_points,
     plan_job,
     save_job,
 )
@@ -96,17 +97,7 @@ def submit_job(
     """
     spec = plan_job(points, policy=policy)
     job_id = name if name is not None else f"job-{spec.fingerprint[:12]}"
-    directory = job_dir(root, job_id)
-    if (directory / "job.json").exists():
-        existing = load_job(directory)
-        if existing.fingerprint != spec.fingerprint:
-            raise SchedulerError(
-                f"job {job_id!r} already exists with a different grid "
-                f"({existing.fingerprint[:12]} != {spec.fingerprint[:12]}); "
-                "pick another name or a fresh queue root"
-            )
-        return job_id
-    save_job(spec, directory)
+    save_job(spec, job_dir(root, job_id))
     return job_id
 
 
@@ -213,10 +204,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "submit":
-            # Imported here, not at module scope: building a named grid is
-            # the only serve operation that needs the figure drivers.
-            from repro.experiments.shard import named_grid_points
-
             points = named_grid_points(args.grid)
             job_id = submit_job(args.root, points, policy=args.policy, name=args.name)
             print(f"job {job_id}: {len(points)} points ({args.policy})")

@@ -9,7 +9,7 @@ one engine:
   trajectory budget, RNG seed),
 * :func:`evaluate_point` — compiles (through the shared compilation cache:
   an in-process LRU front, plus the disk layer under ``$REPRO_CACHE_DIR``
-  that lets every worker process — and later, machine shards — reuse each
+  that lets every worker process — and leased workers on other hosts — reuse each
   unique compilation instead of recomputing it), estimates EPS and runs the
   batched trajectory simulation for one point,
 * :class:`SweepRunner` — fans a list of points (or any picklable tasks via
@@ -23,7 +23,7 @@ the batched engine is bit-for-bit equivalent to the loop path.
 Simulated points run through the checkpointed no-jump fast path by default
 (:mod:`repro.noise.fastpath`): the deterministic no-jump prefix of each
 trajectory is memoized — and, with ``$REPRO_CACHE_DIR``, persisted next to
-the compilations — so repeated sweeps, resumed shards and the CI double
+the compilations — so repeated sweeps, resumed jobs and the CI double
 runs replay records instead of re-evolving statevectors.  The fast path is
 bit-for-bit identical to the explicit engines; ``REPRO_NO_FASTPATH=1`` is
 the escape hatch back to them.
@@ -94,7 +94,7 @@ class SweepPoint:
     ``REPRO_ADAPTIVE_MAX_TRAJ``).  Adaptive rows carry the extra
     ``n_used`` / ``stderr`` / ``ess`` columns and are reproducible like
     fixed-count rows — same seed and config give identical bytes for any
-    worker count, shard plan or fastpath toggle.
+    worker count, lease schedule or fastpath toggle.
     """
 
     workload: str
@@ -230,7 +230,7 @@ def point_key(point: SweepPoint) -> str:
 
     The key is a SHA-256 over every result-bearing field (``repr`` of the
     floats, so distinct values never collide), identical across processes
-    and machines — shard manifests and failure artifacts use it to name
+    and machines — lease jobs and failure artifacts use it to name
     points durably.  ``workers`` is deliberately excluded: it is a
     scheduling-only knob that never changes results (the bit-for-bit
     invariant), and :meth:`SweepRunner.schedule` rewrites it to a
@@ -401,11 +401,11 @@ class SweepRunner:
     def iter_map(self, function: Callable, tasks: Sequence) -> Iterator:
         """Yield ``function(task)`` for every task in order, possibly in parallel.
 
-        Streaming lets callers checkpoint after each result (the shard
-        manifests) while sharing one fan-out implementation with :meth:`map`.
+        Streaming lets callers act on each result as it arrives while sharing
+        one fan-out implementation with :meth:`map`.
         Submission is windowed (two tasks in flight per worker) rather than
-        all-at-once: a consumer that stops early — a failed checkpoint write,
-        a shard being shut down — only waits for the window to drain, instead
+        all-at-once: a consumer that stops early — a failed write, a run
+        being shut down — only waits for the window to drain, instead
         of the pool grinding through every remaining task just to discard the
         results.
         """
@@ -475,7 +475,7 @@ class SweepRunner:
         """Yield ``(index, outcome)`` per point, in order, as results arrive.
 
         This is the single point-execution engine shared by :meth:`run` and
-        the shard runner (:mod:`repro.experiments.shard`): scheduling
+        the leased worker (:mod:`repro.experiments.scheduler`): scheduling
         (point-level versus trajectory-level fan-out) and per-point failure
         capture live here, so both paths behave identically.  Outcomes are
         either a :class:`~repro.experiments.runner.StrategyEvaluation` or a

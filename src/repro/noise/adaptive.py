@@ -14,7 +14,7 @@ accumulator (:class:`repro.noise.stats.RunningStats`) decides whether the
 estimator's standard error has reached ``target_stderr``.  Stopping is
 round-granular and the statistic is accumulated in trajectory-index order,
 so the decision — and therefore every reported number — is a pure function
-of the seeded draw sequence: identical for any worker count, shard plan or
+of the seeded draw sequence: identical for any worker count, lease schedule or
 ``REPRO_NO_FASTPATH`` setting.
 
 **First-deviation importance sampling.**  Each round is first classified by
@@ -158,7 +158,7 @@ class AdaptiveResult(TrajectoryResult):
         """The adaptive row columns (``n_used``/``stderr``/``ess``).
 
         Native Python scalars only: sweep rows must JSON round-trip exactly
-        (the shard-merge byte-identity contract).
+        (the leased-merge byte-identity contract).
         """
         return {
             "n_used": int(self.n_used),

@@ -34,7 +34,7 @@ the work, not a single bit of the results, changes — enforced by
 Records persist through the shared compilation-artifact cache
 (``$REPRO_CACHE_DIR``, keyed by program fingerprint, backend, checkpoint
 stride, schema version and the SHA-256 of the input state), so repeated
-sweeps, resumed shards and forked workers reuse each unique no-jump
+sweeps, resumed jobs and forked workers reuse each unique no-jump
 evolution instead of recomputing it.  Runs below
 ``REPRO_FASTPATH_MIN_TRAJ`` trajectories keep their records in memory but
 skip the disk publication: a one-shot cold run has nothing to amortize the
@@ -471,7 +471,7 @@ class RecordStore:
         Per-trajectory disk files would cost more I/O than the compute they
         save on small registers, so the disk layer stores one *bundle* — the
         whole block's records — per artifact.  A rerun of the same block
-        (repeated sweeps, resumed shards, CI double-runs) reconstructs the
+        (repeated sweeps, resumed jobs, CI double-runs) reconstructs the
         identical bundle key and loads every record in one read; the memory
         front stays per-state, so fixed-state samplers share records across
         arbitrary blocks.

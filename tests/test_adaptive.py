@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.compiler import compile_circuit
 from repro.core.strategies import Strategy
-from repro.experiments.shard import point_from_json, point_to_json
+from repro.experiments.scheduler import point_from_json, point_to_json
 from repro.experiments.sweep import SweepPoint, evaluate_point, point_key, write_csv
 from repro.noise.adaptive import (
     AdaptiveResult,

@@ -23,7 +23,7 @@ SRC_ROOT = Path(__file__).parents[1] / "src"
 KERNEL_FILE = "repro/noise/program.py"
 CACHE_FILE = "repro/core/compile_cache.py"
 SWEEP_FILE = "repro/experiments/sweep.py"
-SHARD_FILE = "repro/experiments/shard.py"
+SHARD_FILE = "repro/experiments/scheduler.py"
 FASTPATH_FILE = "repro/noise/fastpath.py"
 
 

@@ -24,7 +24,7 @@ from repro.artifacts.figures import compute_table, scheduler_table_executor
 from repro.core.compile_cache import get_cache
 from repro.experiments.cswap_study import cswap_study_points
 from repro.experiments.fidelity_sweep import fidelity_sweep_points, run_fidelity_sweep
-from repro.experiments.shard import named_grid_points
+from repro.experiments.scheduler import named_grid_points
 from repro.experiments.sweep import SweepFailure, SweepPoint, SweepRunner, sweep_rows
 from repro.noise.fastpath import reset_fastpath
 from helpers import compile_log_keys

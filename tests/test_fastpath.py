@@ -23,7 +23,7 @@ from repro.core.compiler import compile_circuit
 from repro.core.strategies import Strategy
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.fidelity_sweep import fidelity_sweep_points
-from repro.experiments.shard import ShardPlanner, merge_shards, run_shard, save_plan
+from repro.experiments.scheduler import LeasedWorker, job_status, merge_job, plan_job, save_job
 from repro.experiments.sweep import SweepRunner
 from repro.noise.fastpath import (
     NoJumpRecord,
@@ -520,7 +520,7 @@ class TestRecordCache:
 
 
 # ---------------------------------------------------------------------------
-# sweep integration: default wiring and kill-and-resume sharding
+# sweep integration: default wiring and a reclaimed lease
 # ---------------------------------------------------------------------------
 
 
@@ -544,7 +544,7 @@ class TestSweepIntegration:
         SweepRunner(max_workers=1, csv_path=slow_csv).run(points)
         assert fast_csv.read_bytes() == slow_csv.read_bytes()
 
-    def test_killed_shard_resumes_with_fastpath_on(self, tmp_path, monkeypatch):
+    def test_abandoned_lease_is_reclaimed_with_fastpath_on(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         # 3 trajectories per point sit below the default publication threshold.
         monkeypatch.setenv("REPRO_FASTPATH_MIN_TRAJ", "1")
@@ -558,36 +558,37 @@ class TestSweepIntegration:
         unsharded_csv = out_dir / "unsharded.csv"
         SweepRunner(max_workers=1, csv_path=unsharded_csv).run(points)
 
-        directory = tmp_path / "plan"
-        plan = ShardPlanner(1).plan(points)
-        save_plan(plan, directory)
+        directory = tmp_path / "job"
+        save_job(plan_job(points), directory)
+        now = [1000.0]
 
-        real_evaluate = sweep_mod.evaluate_point
-        calls = {"n": 0}
+        def worker(worker_id, **kwargs):
+            return LeasedWorker(
+                directory,
+                worker_id=worker_id,
+                runner=SweepRunner(max_workers=1),
+                ttl=10.0,
+                clock=lambda: now[0],
+                heartbeat=False,
+                **kwargs,
+            )
 
-        def dying_evaluate(point):
-            if calls["n"] >= 2:
-                raise KeyboardInterrupt
-            calls["n"] += 1
-            return real_evaluate(point)
+        # The first worker dies holding its third lease, like a SIGKILL.
+        assert worker("killed", abandon_after=2).run().abandoned
 
-        monkeypatch.setattr(sweep_mod, "evaluate_point", dying_evaluate)
-        with pytest.raises(KeyboardInterrupt):
-            run_shard(plan, 0, directory, runner=SweepRunner(max_workers=1))
-        monkeypatch.setattr(sweep_mod, "evaluate_point", real_evaluate)
-
-        # Resume like a fresh host: both cache fronts dropped, so the
-        # resumed shard reuses compilations *and* checkpoint records
-        # through the disk layer only.
+        # Its lease expires and a fresh host drains the job: both cache
+        # fronts dropped, so the drainer reuses compilations *and*
+        # checkpoint records through the disk layer only.
+        now[0] += 10.1
         reset_cache()
         get_record_store().clear_memory()
         disk_hits_before = stats()["record_disk_hits"]
-        report = run_shard(plan, 0, directory, runner=SweepRunner(max_workers=1))
-        assert report.ok
-        assert report.num_resumed == 2
+        report = worker("drainer").run()
+        assert report.num_completed == 2
+        assert job_status(directory, clock=lambda: now[0])["reclaimed"] == 1
         assert stats()["record_disk_hits"] > disk_hits_before
 
-        merged = merge_shards(directory)
+        merged = merge_job(directory)
         assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
         reset_cache()
 

@@ -15,6 +15,7 @@ because the renewal thread is real.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -22,11 +23,14 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.core.compile_cache import get_cache, reset_cache
 from repro.core.emitter import CompilationError
+from repro.experiments import scheduler
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.scheduler import (
     SHARD_SCHEMA_VERSION,
@@ -37,18 +41,27 @@ from repro.experiments.scheduler import (
     LeaseLost,
     SchedulerError,
     WorkerManifest,
+    estimate_point_cost,
     job_status,
     landed_rows,
     load_job,
     merge_job,
     plan_job,
+    point_from_json,
+    point_to_json,
+    retry_failed,
     save_job,
 )
-from repro.experiments.sweep import SweepRunner, point_key
+from repro.experiments.sweep import SweepPoint, SweepRunner, point_key
 from helpers import compile_log_keys
 from helpers import mini_points as _shared_mini_points
 
 REPO_ROOT = Path(__file__).parents[1]
+
+#: SHA-256 of the ``fifo`` job file of the ``fig7-mini`` grid at
+#: SHARD_SCHEMA_VERSION 2: a job directory planned by an earlier release must
+#: keep loading, draining and merging, so these bytes may not drift.
+FIG7_MINI_JOB_SHA256 = "567a932c57e135b831ad8eccf2afe3980c44c4500dabff606d112d99980d9503"
 
 
 def wait_for_lease_held_by(directory, worker_id, timeout=10.0):
@@ -81,6 +94,35 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
+
+
+def seed_grid():
+    """Four points sharing one compilation and one trajectory-program key.
+
+    Only the RNG seed varies (the per-point sampling, not any compiled
+    artifact), so every worker draining this grid needs exactly the same
+    cached artifacts — the sharpest probe of cross-worker cache sharing.
+    """
+    return [
+        SweepPoint(
+            workload="cnu",
+            size=5,
+            strategy="MIXED_RADIX_CCZ",
+            num_trajectories=2,
+            seed=seed,
+            axis=float(seed),
+        )
+        for seed in range(4)
+    ]
+
+
+def run_unsharded(points, out_dir):
+    """CSV and JSON artifacts of a plain single-process run of ``points``."""
+    runner = SweepRunner(
+        max_workers=1, csv_path=out_dir / "unsharded.csv", json_path=out_dir / "unsharded.json"
+    )
+    runner.run(points)
+    return runner.csv_path, runner.json_path
 
 
 def make_job(directory, points=None, policy="fifo", **plan_kwargs):
@@ -133,6 +175,55 @@ class TestJobSpec:
         with pytest.raises(SchedulerError, match="priorit"):
             JobSpec(points=points, policy="fifo", priorities=(0.0,))
 
+    def test_missing_job_is_a_clean_error(self, tmp_path):
+        with pytest.raises(SchedulerError, match="no job"):
+            load_job(tmp_path / "nowhere")
+
+    def test_save_refuses_a_different_grid_in_the_same_directory(self, tmp_path):
+        directory = tmp_path / "job"
+        spec = make_job(directory)
+        # Saving the same grid again is a no-op...
+        assert save_job(plan_job(mini_points()), directory) == directory / "job.json"
+        assert load_job(directory) == spec
+        # ...but another grid's markers and rows must never mix with these.
+        with pytest.raises(SchedulerError, match="different grid"):
+            save_job(plan_job(mini_points(num_trajectories=3)), directory)
+        assert load_job(directory) == spec
+
+    def test_point_json_round_trip(self):
+        point = SweepPoint(
+            workload="synthetic",
+            size=5,
+            strategy="QUBIT_ONLY",
+            error_factor=2.5,
+            axis=2.5,
+            workload_kwargs=(("num_gates", 6), ("cx_fraction", 0.5), ("seed", 3)),
+        )
+        restored = point_from_json(json.loads(json.dumps(point_to_json(point))))
+        assert restored == point
+        assert point_key(restored) == point_key(point)
+
+    def test_rejects_non_json_workload_kwargs(self, tmp_path):
+        # A tuple kwarg would come back from JSON as a list, change the
+        # point's key and make the stored job read as corrupt — reject it
+        # loudly at save time instead.
+        point = SweepPoint(
+            workload="synthetic",
+            size=5,
+            strategy="QUBIT_ONLY",
+            workload_kwargs=(("taps", (1, 2)),),
+        )
+        with pytest.raises(SchedulerError, match="taps"):
+            save_job(plan_job([point]), tmp_path)
+        assert not (tmp_path / "job.json").exists()
+
+    def test_cost_weighted_plan_is_deterministic(self, shared_cache):
+        first = plan_job(mini_points(), policy="cost-weighted")
+        second = plan_job(mini_points(), policy="cost-weighted")
+        assert first.priorities == second.priorities
+        assert all(priority > 0 for priority in first.priorities)
+        assert first.fingerprint == second.fingerprint
+
     def test_fifo_order_is_grid_order(self):
         spec = plan_job(mini_points(), policy="fifo")
         assert spec.acquisition_order() == list(range(len(spec.points)))
@@ -149,6 +240,37 @@ class TestJobSpec:
         assert order == sorted(
             range(len(points)), key=lambda index: (-spec.priorities[index], index)
         )
+
+    def test_job_file_bytes_are_stable_at_schema_2(self, tmp_path):
+        assert SHARD_SCHEMA_VERSION == 2
+        path = save_job(plan_job(scheduler.named_grid_points("fig7-mini")), tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FIG7_MINI_JOB_SHA256
+
+    @pytest.mark.parametrize("grid", ["fig7", "fig7-mini", "fig9a", "fig9a-mini"])
+    def test_named_grids_save_as_jobs(self, grid, tmp_path):
+        points = scheduler.named_grid_points(grid)
+        assert points
+        assert len({point_key(point) for point in points}) == len(points)
+        save_job(plan_job(points), tmp_path)
+        assert load_job(tmp_path).points == tuple(points)
+
+    def test_point_cost_is_op_count_times_trajectories(self, shared_cache):
+        two = SweepPoint(workload="cnu", size=5, strategy="QUBIT_ONLY", num_trajectories=2)
+        per_two = estimate_point_cost(two)
+        assert per_two > 0
+        assert estimate_point_cost(replace(two, num_trajectories=4)) == 2 * per_two
+        # A compile-only point still costs its compilation: one unit.
+        assert estimate_point_cost(replace(two, num_trajectories=0)) == per_two / 2
+
+    def test_adaptive_points_are_costed_at_a_nominal_budget(self, shared_cache):
+        fixed = SweepPoint(workload="cnu", size=5, strategy="QUBIT_ONLY", num_trajectories=1)
+        per_trajectory = estimate_point_cost(fixed)
+        nominal = scheduler._ADAPTIVE_PLANNING_TRAJECTORIES
+        auto = replace(fixed, num_trajectories="auto")
+        assert estimate_point_cost(auto) == nominal * per_trajectory
+        # An explicit integer cap below the nominal budget bounds the cost.
+        capped = replace(fixed, num_trajectories=10, target_stderr=0.01)
+        assert estimate_point_cost(capped) == 10 * per_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +440,8 @@ class TestLeaseProtocol:
 
 
 class TestLeasedWorker:
-    def test_kill_schedule_merges_byte_identical_to_unsharded(self, tmp_path, shared_cache):
+    @pytest.mark.parametrize("num_workers", [1, 3, 7])
+    def test_kill_schedule_merges_byte_identical_to_unsharded(self, num_workers, tmp_path, shared_cache):
         points = mini_points()
         unsharded_csv = tmp_path / "unsharded.csv"
         unsharded_json = tmp_path / "unsharded.json"
@@ -333,10 +456,17 @@ class TestLeasedWorker:
         assert report.abandoned and report.num_completed == 1
         assert job_status(directory, clock=clock)["leased"] == 1
 
-        clock.advance(10.1)  # the abandoned lease expires...
-        drainer = make_worker(directory, "w1", clock)
-        report = drainer.run()
-        assert report.num_completed == len(points) - 1
+        # The abandoned lease expires; a restarted w0 (resuming its own
+        # manifest) and its peers drain the rest one point per turn, each
+        # starting like a fresh host process with only the disk cache.
+        clock.advance(10.1)
+        reset_cache()
+        workers = [make_worker(directory, f"w{k}", clock, max_points=1) for k in range(num_workers)]
+        for _ in range(len(points)):
+            for worker in workers:
+                worker.run()
+        completed = sum(len(worker.manifest.completed) for worker in workers)
+        assert completed == len(points)
 
         status = job_status(directory, clock=clock)
         assert status["mergeable"] and status["reclaimed"] == 1
@@ -378,6 +508,38 @@ class TestLeasedWorker:
         with pytest.raises(SchedulerError, match="failed"):
             merge_job(directory)
 
+    def test_failure_key_matches_job_key_under_multicore_scheduling(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
+        # One simulated point + max_workers=2 triggers trajectory-level
+        # scheduling, which annotates the point with workers=2 before
+        # evaluation.  The failure marker must still carry the *job's* point
+        # key, and once retried the point drains under the same runner.
+        points = [
+            SweepPoint(workload="cnu", size=5, strategy="QUBIT_ONLY", num_trajectories=2, seed=1)
+        ]
+        directory = tmp_path / "job"
+        make_job(directory, points)
+        real_evaluate = sweep_mod.evaluate_point
+
+        def failing_evaluate(point):
+            raise CompilationError("injected failure", gate="X(0)", pass_name="emit")
+
+        monkeypatch.setattr(sweep_mod, "evaluate_point", failing_evaluate)
+        runner = SweepRunner(max_workers=2)
+        scheduled, trajectory_level = runner.schedule(points)
+        assert trajectory_level and scheduled[0].workers == 2  # the annotation happened
+        clock = FakeClock()
+        assert make_worker(directory, "w0", clock, runner=runner).run().num_failed == 1
+        record = json.loads((directory / "failed" / "00000.json").read_text())
+        assert record["point_key"] == point_key(points[0])
+
+        monkeypatch.setattr(sweep_mod, "evaluate_point", real_evaluate)
+        assert retry_failed(directory) == [0]
+        report = make_worker(directory, "w0", clock, runner=SweepRunner(max_workers=2)).run()
+        assert report.num_completed == 1
+        assert job_status(directory, clock=clock)["mergeable"]
+
     def test_worker_directory_is_bound_to_its_job(self, tmp_path, shared_cache):
         points = mini_points()
         first = tmp_path / "first"
@@ -408,6 +570,121 @@ class TestLeasedWorker:
         WorkerManifest(worker_id="ghost", job_fingerprint="not-this-job").save(worker_dir)
         with pytest.raises(SchedulerError, match="different job"):
             landed_rows(directory)
+
+    def test_cost_weighted_job_merges_byte_identical_to_unsharded(self, tmp_path, shared_cache):
+        points = mini_points()
+        unsharded_csv, unsharded_json = run_unsharded(points, tmp_path)
+        directory = tmp_path / "job"
+        spec = make_job(directory, points, policy="cost-weighted")
+        clock = FakeClock()
+        workers = [make_worker(directory, f"w{k}", clock, max_points=1) for k in range(3)]
+        for _ in range(len(points)):
+            for worker in workers:
+                worker.run()
+        # The first round of leases went to the three most expensive points.
+        firsts = [int(next(iter(worker.manifest.completed))) for worker in workers]
+        assert [spec.priorities[index] for index in firsts] == sorted(spec.priorities)[::-1][:3]
+        merged = merge_job(directory)
+        assert merged.num_rows == len(points)
+        assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
+        assert merged.json_path.read_bytes() == unsharded_json.read_bytes()
+
+    def test_restarted_worker_never_re_evaluates_its_landed_points(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
+        points = mini_points()
+        directory = tmp_path / "job"
+        make_job(directory, points)
+        clock = FakeClock()
+        report = make_worker(directory, "w0", clock, abandon_after=2).run()
+        assert report.abandoned and report.num_completed == 2
+        manifest = WorkerManifest.load(directory / "workers" / "w0")
+        assert set(manifest.completed.values()) == {point_key(points[0]), point_key(points[1])}
+
+        # Restart w0 as a fresh process would: a cold in-memory cache front
+        # (any recompilation must go through the disk layer and its log) and
+        # the abandoned lease past its deadline.
+        clock.advance(10.1)
+        reset_cache()
+        real_evaluate = sweep_mod.evaluate_point
+        evaluated = []
+
+        def counting_evaluate(point):
+            evaluated.append(point_key(point))
+            return real_evaluate(point)
+
+        monkeypatch.setattr(sweep_mod, "evaluate_point", counting_evaluate)
+        report = make_worker(directory, "w0", clock).run()
+        assert report.num_completed == len(points) - 2
+        assert sorted(evaluated) == sorted(point_key(point) for point in points[2:])
+        keys = compile_log_keys(shared_cache)
+        assert len(keys) == len(set(keys))
+
+        merged = merge_job(directory)
+        unsharded_csv, unsharded_json = run_unsharded(points, tmp_path)
+        assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
+        assert merged.json_path.read_bytes() == unsharded_json.read_bytes()
+
+    def test_merge_refuses_an_incomplete_job(self, tmp_path, shared_cache):
+        directory = tmp_path / "partial"
+        make_job(directory, mini_points())
+        clock = FakeClock()
+        make_worker(directory, "w0", clock, max_points=2).run()
+        with pytest.raises(SchedulerError, match="not yet evaluated"):
+            merge_job(directory)
+        status = job_status(directory, clock=clock)
+        assert not status["mergeable"]
+        assert status["done"] == 2 and status["pending"] == 4
+        assert not (directory / "merged.csv").exists()
+
+    def test_retry_numbers_each_attempt_and_keeps_every_record(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
+        points = mini_points(num_trajectories=0)[:2]
+        directory = tmp_path / "job"
+        make_job(directory, points)
+        real_evaluate = sweep_mod.evaluate_point
+
+        def failing_evaluate(point):
+            if point_key(point) == point_key(points[1]):
+                raise CompilationError("injected failure", gate="CCX", pass_name="emit")
+            return real_evaluate(point)
+
+        monkeypatch.setattr(sweep_mod, "evaluate_point", failing_evaluate)
+        clock = FakeClock()
+        for attempt in (1, 2):
+            assert make_worker(directory, "w0", clock).run().num_failed == 1
+            assert retry_failed(directory) == [1]
+            record = json.loads((directory / "retried" / f"00001.{attempt}.json").read_text())
+            assert record["point_key"] == point_key(points[1])
+
+        monkeypatch.setattr(sweep_mod, "evaluate_point", real_evaluate)
+        assert make_worker(directory, "w0", clock).run().num_completed == 1
+        retried = sorted(path.name for path in (directory / "retried").iterdir())
+        assert retried == ["00001.1.json", "00001.2.json"]
+        assert job_status(directory, clock=clock)["mergeable"]
+
+    def test_retry_never_replaces_an_existing_record(self, tmp_path):
+        directory = tmp_path / "job"
+        make_job(directory, mini_points(num_trajectories=0)[:2])
+        (directory / "failed").mkdir()
+        (directory / "failed" / "00001.json").write_text('{"record": "new"}\n')
+        # Two records exist, so the count picks attempt 3 -- the number a
+        # racing retrier already published.  Neither may be replaced.
+        retried_dir = directory / "retried"
+        retried_dir.mkdir()
+        (retried_dir / "00001.1.json").write_text('{"record": "first"}\n')
+        (retried_dir / "00001.3.json").write_text('{"record": "racer"}\n')
+        assert retry_failed(directory) == [1]
+        assert (retried_dir / "00001.1.json").read_text() == '{"record": "first"}\n'
+        assert (retried_dir / "00001.3.json").read_text() == '{"record": "racer"}\n'
+        assert (retried_dir / "00001.4.json").read_text() == '{"record": "new"}\n'
+        assert sorted(path.name for path in retried_dir.iterdir()) == [
+            "00001.1.json",
+            "00001.3.json",
+            "00001.4.json",
+        ]
+        assert not (directory / "failed" / "00001.json").exists()
 
     def test_heartbeat_keeps_slow_worker_alive_under_a_real_clock(self, tmp_path, shared_cache):
         points = mini_points(num_trajectories=0)[:1]  # compile-only: fast
@@ -473,7 +750,12 @@ class TestLeasedWorker:
         assert job_status(directory)["done"] == 1
 
     def test_sigkilled_worker_subprocess_points_are_reclaimed(self, tmp_path, shared_cache):
-        """A worker killed with SIGKILL strands its lease; expiry frees it."""
+        """A worker killed with SIGKILL strands its lease; expiry frees it.
+
+        The worker runs in its own process group and the whole group is
+        killed, as when its host dies: the worker's process-pool children
+        must not outlive the test.
+        """
         points = mini_points()
         directory = tmp_path / "job"
         make_job(directory, points)
@@ -494,6 +776,7 @@ class TestLeasedWorker:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             leases = directory / "leases"
@@ -504,8 +787,8 @@ class TestLeasedWorker:
                 time.sleep(0.05)
             else:
                 pytest.fail("subprocess worker never claimed a lease")
-            process.send_signal(signal.SIGKILL)
         finally:
+            os.killpg(process.pid, signal.SIGKILL)
             process.wait()
 
         # The victim's lease has a 600 s deadline in real wall-clock time; a
@@ -516,3 +799,200 @@ class TestLeasedWorker:
         status = job_status(directory, clock=clock)
         assert status["mergeable"] and status["reclaimed"] >= 1
         merge_job(directory)
+
+
+# ---------------------------------------------------------------------------
+# the compilation cache shared by workers
+# ---------------------------------------------------------------------------
+
+
+class TestSharedCacheAcrossWorkers:
+    def test_two_workers_compile_each_unique_key_at_most_once(self, tmp_path, shared_cache):
+        points = seed_grid()
+        directory = tmp_path / "job"
+        make_job(directory, points)
+        clock = FakeClock()
+        make_worker(directory, "w0", clock, max_points=2).run()
+        keys_after_first = compile_log_keys(shared_cache)
+        assert keys_after_first, "the cold worker must have compiled something"
+
+        # w1 starts as a separate process on the same host would: no shared
+        # memory front, only the disk layer under REPRO_CACHE_DIR.
+        reset_cache()
+        assert make_worker(directory, "w1", clock).run().num_completed == 2
+        keys = compile_log_keys(shared_cache)
+        assert keys == keys_after_first, "the warm worker must not recompile anything"
+        assert get_cache().stats.disk_hits >= 1
+
+        merged = merge_job(directory)
+        unsharded_csv, _ = run_unsharded(points, tmp_path)
+        assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
+
+    def test_corrupted_cache_entry_falls_back_to_clean_recompile(self, tmp_path, shared_cache):
+        points = seed_grid()
+        clock = FakeClock()
+        first = tmp_path / "first"
+        make_job(first, points)
+        make_worker(first, "w0", clock).run()
+        clean_csv = merge_job(first).csv_path.read_bytes()
+        keys_before = compile_log_keys(shared_cache)
+
+        # Corrupt every published artifact, then drain the same grid as a
+        # fresh job with a cold memory front: the cache must treat the torn
+        # entries as misses and recompile to identical results.
+        corrupted = 0
+        for artifact in shared_cache.rglob("*.pkl"):
+            artifact.write_bytes(b"not a pickle")
+            corrupted += 1
+        assert corrupted >= 1
+        reset_cache()
+        second = tmp_path / "second"
+        make_job(second, points)
+        assert make_worker(second, "w0", clock).run().num_failed == 0
+        assert merge_job(second).csv_path.read_bytes() == clean_csv
+        assert len(compile_log_keys(shared_cache)) > len(keys_before)
+        assert get_cache().stats.disk_errors >= 1
+
+
+# ---------------------------------------------------------------------------
+# command-line interfaces
+# ---------------------------------------------------------------------------
+
+
+class TestCommandLine:
+    def test_plan_work_status_merge_cycle(self, tmp_path, shared_cache, capsys):
+        directory = str(tmp_path / "cli")
+        grid = ["plan", "--grid", "fig7-mini", "--policy", "cost-weighted", "--dir", directory]
+        assert scheduler.main(grid) == 0
+        assert scheduler.main(["merge", "--dir", directory]) == 2  # nothing landed yet
+        work = ["work", "--dir", directory, "--max-workers", "1", "--max-points", "3"]
+        assert scheduler.main(work + ["--worker-id", "w0"]) == 0
+        assert scheduler.main(["merge", "--dir", directory]) == 2  # half the grid is missing
+        assert "not yet evaluated" in capsys.readouterr().out
+        assert scheduler.main(work + ["--worker-id", "w1"]) == 0
+        assert scheduler.main(["status", "--dir", directory]) == 0
+        out = capsys.readouterr().out
+        status = json.loads(out[out.index("{"):])
+        assert status["mergeable"] and status["done"] == 6
+        assert scheduler.main(["merge", "--dir", directory]) == 0
+
+        points = scheduler.named_grid_points("fig7-mini")
+        local_csv = tmp_path / "local.csv"
+        local_json = tmp_path / "local.json"
+        SweepRunner(max_workers=1, csv_path=local_csv, json_path=local_json).run(points)
+        assert (tmp_path / "cli" / "merged.csv").read_bytes() == local_csv.read_bytes()
+        assert (tmp_path / "cli" / "merged.json").read_bytes() == local_json.read_bytes()
+
+    def test_unknown_grid_is_a_clean_error(self, tmp_path, capsys):
+        assert scheduler.main(["plan", "--grid", "nope", "--dir", str(tmp_path / "x")]) == 2
+        assert "error: unknown grid 'nope'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["merge", "status", "retry"])
+    def test_command_without_a_job_is_a_clean_error(self, command, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        assert scheduler.main([command, "--dir", str(empty)]) == 2
+        assert "error: no job" in capsys.readouterr().out
+        assert not empty.exists()
+
+    def test_retry_re_leases_a_failed_point_and_keeps_its_record(
+        self, tmp_path, shared_cache, monkeypatch, capsys
+    ):
+        points = mini_points()
+        directory = tmp_path / "job"
+        make_job(directory, points)
+        real_evaluate = sweep_mod.evaluate_point
+
+        def failing_evaluate(point):
+            if point_key(point) == point_key(points[2]):
+                raise CompilationError("injected failure", gate="CCX", pass_name="emit")
+            return real_evaluate(point)
+
+        monkeypatch.setattr(sweep_mod, "evaluate_point", failing_evaluate)
+        clock = FakeClock()
+        assert make_worker(directory, "w0", clock).run().num_failed == 1
+        failed_record = (directory / "failed" / "00002.json").read_bytes()
+        assert scheduler.main(["merge", "--dir", str(directory)]) == 2
+        assert "failed" in capsys.readouterr().out
+
+        # The fault is fixed; retry makes exactly the failed point leasable
+        # again and moves (never deletes) its record.
+        monkeypatch.setattr(sweep_mod, "evaluate_point", real_evaluate)
+        assert scheduler.main(["retry", "--dir", str(directory)]) == 0
+        assert "retried 1 failed point(s): [2]" in capsys.readouterr().out
+        assert not any((directory / "failed").iterdir())
+        assert (directory / "retried" / "00002.1.json").read_bytes() == failed_record
+        assert job_status(directory, clock=clock)["pending"] == 1
+
+        report = make_worker(directory, "w1", clock).run()
+        assert report.num_acquired == 1 and report.num_completed == 1
+        assert scheduler.main(["retry", "--dir", str(directory)]) == 0  # nothing left to retry
+        assert "retried 0" in capsys.readouterr().out
+        merged = merge_job(directory)
+        local_csv = tmp_path / "local.csv"
+        SweepRunner(max_workers=1, csv_path=local_csv).run(points)
+        assert merged.csv_path.read_bytes() == local_csv.read_bytes()
+
+    def test_fidelity_sweep_driver_saves_a_job_that_merges_like_a_local_run(self, tmp_path, shared_cache):
+        from repro.experiments import fidelity_sweep
+
+        directory = str(tmp_path / "driver")
+        base = ["--workloads", "cnu", "--sizes", "5", "--trajectories", "2"]
+        assert fidelity_sweep.main(base + ["--dir", directory]) == 0
+        assert fidelity_sweep.main(base + ["--dir", directory]) == 0  # same grid: no-op
+        # A different grid must not land in the same job directory, and the
+        # local-run flags do not apply to a saved job.
+        assert fidelity_sweep.main(base[:-1] + ["3", "--dir", directory]) == 2
+        assert fidelity_sweep.main(base + ["--dir", directory, "--csv", "x.csv"]) == 2
+        assert len(load_job(directory).points) == 6
+        assert not (tmp_path / "driver" / "leases").exists()  # saved, not run
+
+        assert scheduler.main(["work", "--dir", directory, "--max-workers", "1"]) == 0
+        merged_csv = tmp_path / "driver-merged.csv"
+        assert scheduler.main(["merge", "--dir", directory, "--csv", str(merged_csv)]) == 0
+        local_csv = tmp_path / "driver-local.csv"
+        assert fidelity_sweep.main(base + ["--csv", str(local_csv), "--max-workers", "1"]) == 0
+        assert merged_csv.read_bytes() == local_csv.read_bytes()
+
+    def test_cswap_driver_job_merges_like_a_local_run(self, tmp_path, shared_cache):
+        from repro.experiments import cswap_study
+
+        directory = str(tmp_path / "cswap")
+        base = ["--sizes", "5", "--trajectories", "0"]
+        assert cswap_study.main(base + ["--dir", directory]) == 0
+        spec = load_job(directory)
+        assert spec.policy == "fifo"
+        assert len(spec.points) == 7  # seven Figure 9a strategies
+        assert job_status(directory)["pending"] == 7  # saved, not run
+
+        assert scheduler.main(["work", "--dir", directory, "--max-workers", "1"]) == 0
+        merged_csv = tmp_path / "cswap-merged.csv"
+        assert scheduler.main(["merge", "--dir", directory, "--csv", str(merged_csv)]) == 0
+        local_csv = tmp_path / "cswap-local.csv"
+        assert cswap_study.main(base + ["--csv", str(local_csv), "--max-workers", "1"]) == 0
+        assert merged_csv.read_bytes() == local_csv.read_bytes()
+
+    def test_plan_refuses_a_different_grid_in_the_same_directory(self, tmp_path, capsys):
+        directory = str(tmp_path / "job")
+        assert scheduler.main(["plan", "--grid", "fig7-mini", "--dir", directory]) == 0
+        assert scheduler.main(["plan", "--grid", "fig7-mini", "--dir", directory]) == 0  # no-op
+        capsys.readouterr()
+        assert scheduler.main(["plan", "--grid", "fig9a-mini", "--dir", directory]) == 2
+        assert "different grid" in capsys.readouterr().out
+        assert load_job(directory).points == tuple(scheduler.named_grid_points("fig7-mini"))
+
+    def test_work_exits_one_when_a_point_fails(self, tmp_path, shared_cache, monkeypatch):
+        points = mini_points(num_trajectories=0)
+        directory = tmp_path / "job"
+        make_job(directory, points)
+        real_evaluate = sweep_mod.evaluate_point
+
+        def failing_evaluate(point):
+            if point_key(point) == point_key(points[0]):
+                raise CompilationError("injected failure", gate="CCX", pass_name="emit")
+            return real_evaluate(point)
+
+        monkeypatch.setattr(sweep_mod, "evaluate_point", failing_evaluate)
+        work = ["work", "--dir", str(directory), "--max-workers", "1", "--no-heartbeat"]
+        assert scheduler.main(work) == 1
+        status = job_status(directory)
+        assert status["failed"] == 1 and status["done"] == len(points) - 1

@@ -174,6 +174,11 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().out
 
+    def test_cli_unknown_grid_is_a_clean_error(self, tmp_path, capsys):
+        assert serve_mod.main(["submit", "--grid", "nope", "--dir", str(tmp_path)]) == 2
+        assert "error: unknown grid 'nope'" in capsys.readouterr().out
+        assert list_jobs(tmp_path) == []
+
     def test_cli_help_runs_clean_in_a_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.experiments.serve", "--help"],

@@ -37,6 +37,10 @@ Two extensions sit on top of the classification:
   unchanged (at most one member of a run carries phases outside
   ``{±1, ±i}``; multiplication by those units is exact in IEEE arithmetic),
   so a fused program is bit-for-bit equal to its unfused counterpart.
+
+Gather indices and fused kernels are built on the touched axes only — an
+op's targets, or the union of a run's targets — and expanded to the flat
+full-register arrays once, at the end.
 """
 
 from __future__ import annotations
@@ -117,15 +121,11 @@ class _Kernel:
 
 def _monomial_structure(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Return ``(source, phases)`` when every row has exactly one nonzero."""
-    dim = unitary.shape[0]
-    source = np.empty(dim, dtype=np.int64)
-    phases = np.empty(dim, dtype=np.complex128)
-    for row in range(dim):
-        nonzero = np.flatnonzero(unitary[row])
-        if nonzero.size != 1:
-            return None
-        source[row] = nonzero[0]
-        phases[row] = unitary[row, nonzero[0]]
+    nonzero = unitary != 0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None
+    source = np.argmax(nonzero, axis=1).astype(np.int64, copy=False)
+    phases = unitary[np.arange(unitary.shape[0]), source].astype(np.complex128, copy=False)
     return source, phases
 
 
@@ -135,26 +135,19 @@ def _full_gather_index(
     """Lift an op-subspace row->column map to a full-register gather index.
 
     Returns ``idx`` such that ``out[j] = state[idx[j]]`` implements the
-    permutation part of the monomial on the whole register.
+    permutation part of the monomial on the whole register.  The map is
+    applied on the target axes only: ``arange(total)`` viewed as a
+    ``dims``-shaped tensor, with the target axes moved to the front (in
+    ``targets`` order), has its rows gathered by ``source`` and its axes
+    moved back, so no per-entry digit arithmetic runs over the register.
     """
-    total = int(np.prod(dims))
-    strides = np.ones(len(dims), dtype=np.int64)
-    for axis in range(len(dims) - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * dims[axis + 1]
-    flat = np.arange(total, dtype=np.int64)
-    op_index = np.zeros(total, dtype=np.int64)
-    base = flat.copy()
-    for target in targets:
-        digit = (flat // strides[target]) % dims[target]
-        op_index = op_index * dims[target] + digit
-        base -= digit * strides[target]
-    column = source[op_index]
-    gathered = base
-    for target in reversed(targets):
-        digit = column % dims[target]
-        column = column // dims[target]
-        gathered = gathered + digit * strides[target]
-    return gathered.astype(np.int32 if total < 2**31 else np.int64)
+    total = math.prod(dims)
+    front = tuple(range(len(targets)))
+    flat = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
+    tensor = np.moveaxis(flat.reshape(dims), targets, front)
+    rows = math.prod(tensor.shape[: len(targets)])
+    gathered = tensor.reshape(rows, -1)[source].reshape(tensor.shape)
+    return np.moveaxis(gathered, front, targets).reshape(-1)
 
 
 def _phase_broadcast(
@@ -168,6 +161,14 @@ def _phase_broadcast(
     for target in targets:
         shape[target] = dims[target]
     return tensor.reshape(shape)
+
+
+def _flat_phases(
+    phases: np.ndarray, targets: tuple[int, ...], dims: tuple[int, ...]
+) -> np.ndarray:
+    """Per-row phases of ``targets`` as one flat array over the ``dims`` register."""
+    broadcast = _phase_broadcast(phases, targets, dims)
+    return np.ascontiguousarray(np.broadcast_to(broadcast, dims)).reshape(-1)
 
 
 def _single_reshape(target: int, dims: tuple[int, ...]) -> tuple[int, int, int]:
@@ -607,16 +608,28 @@ class _Fuser:
                 if kernel.phase is not None:
                     phase = kernel.phase if phase is None else phase * kernel.phase
             return _Kernel("diag", None, targets, phase=phase)
+        # Compose on the sub-register of the touched axes, then expand once.
+        # Each sub-register entry goes through the same gathers and complex
+        # multiplies, in the same order, as the full-register entries that
+        # share its digits, so the expanded arrays are the full-register
+        # composition bit for bit.
+        sub_dims = tuple(dims[t] for t in targets)
         index: np.ndarray | None = None
         phase: np.ndarray | None = None
         for kernel in members:
+            source, phases = _monomial_structure(kernel.unitary)
+            sub_targets = tuple(targets.index(t) for t in kernel.targets)
             if kernel.index is not None:
-                index = kernel.index.copy() if index is None else index[kernel.index]
+                sub_index = _full_gather_index(source, sub_targets, sub_dims)
+                index = sub_index if index is None else index[sub_index]
                 if phase is not None:
-                    phase = phase[kernel.index]
+                    phase = phase[sub_index]
             if kernel.phase is not None:
-                flat = np.ascontiguousarray(np.broadcast_to(kernel.phase, dims)).reshape(-1)
+                flat = _flat_phases(phases, sub_targets, sub_dims)
                 phase = flat if phase is None else phase * flat
+        index = _full_gather_index(index, targets, dims)
+        if phase is not None:
+            phase = _flat_phases(phase, targets, dims)
         return _Kernel("fused", None, targets, index=index, phase=phase)
 
 

@@ -1,0 +1,314 @@
+"""Trajectory-program kernel construction against a frozen reference.
+
+``repro.noise.program`` builds gather indices and fused kernels on the op's
+own target axes and expands the result to the full register once.  The
+functions below the "frozen reference" banner are verbatim copies of the
+earlier full-register builders (per-entry digit arithmetic over the whole
+register); do not "fix" or modernise them.  The property tests assert the
+current builders produce the same arrays, dtypes and ``None``-ness, and the
+pinned digests assert that whole compiled programs are byte-identical to
+the ones the reference builders produced, so programs already cached on
+disk under the same ``CACHE_SCHEMA_VERSION`` stay valid.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import mini_points
+from repro.experiments.sweep import SweepPoint, _compiled
+from repro.noise.model import NoiseModel
+from repro.noise.program import (
+    GateStep,
+    _classify,
+    _full_gather_index,
+    _Fuser,
+    _Kernel,
+    _monomial_structure,
+    compile_program,
+)
+from repro.topology.device import CoherenceModel
+
+# ---------------------------------------------------------------------------
+# frozen reference (verbatim full-register builders)
+# ---------------------------------------------------------------------------
+
+
+def legacy_monomial_structure(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Return ``(source, phases)`` when every row has exactly one nonzero."""
+    dim = unitary.shape[0]
+    source = np.empty(dim, dtype=np.int64)
+    phases = np.empty(dim, dtype=np.complex128)
+    for row in range(dim):
+        nonzero = np.flatnonzero(unitary[row])
+        if nonzero.size != 1:
+            return None
+        source[row] = nonzero[0]
+        phases[row] = unitary[row, nonzero[0]]
+    return source, phases
+
+
+def legacy_full_gather_index(
+    source: np.ndarray, targets: tuple[int, ...], dims: tuple[int, ...]
+) -> np.ndarray:
+    """Lift an op-subspace row->column map to a full-register gather index.
+
+    Returns ``idx`` such that ``out[j] = state[idx[j]]`` implements the
+    permutation part of the monomial on the whole register.
+    """
+    total = int(np.prod(dims))
+    strides = np.ones(len(dims), dtype=np.int64)
+    for axis in range(len(dims) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * dims[axis + 1]
+    flat = np.arange(total, dtype=np.int64)
+    op_index = np.zeros(total, dtype=np.int64)
+    base = flat.copy()
+    for target in targets:
+        digit = (flat // strides[target]) % dims[target]
+        op_index = op_index * dims[target] + digit
+        base -= digit * strides[target]
+    column = source[op_index]
+    gathered = base
+    for target in reversed(targets):
+        digit = column % dims[target]
+        column = column // dims[target]
+        gathered = gathered + digit * strides[target]
+    return gathered.astype(np.int32 if total < 2**31 else np.int64)
+
+
+class LegacyFuser:
+    """``_Fuser`` reduced to its frozen ``_build``."""
+
+    def __init__(self, dims: tuple[int, ...]):
+        self.dims = dims
+
+    def _build(self, members: list[_Kernel]) -> _Kernel:
+        dims = self.dims
+        targets = tuple(sorted({t for kernel in members for t in kernel.targets}))
+        if all(kernel.index is None for kernel in members):
+            # A pure-diagonal run composes in broadcast space (no gather, and
+            # the composed phase tensor only spans the touched axes).
+            phase = None
+            for kernel in members:
+                if kernel.phase is not None:
+                    phase = kernel.phase if phase is None else phase * kernel.phase
+            return _Kernel("diag", None, targets, phase=phase)
+        index: np.ndarray | None = None
+        phase: np.ndarray | None = None
+        for kernel in members:
+            if kernel.index is not None:
+                index = kernel.index.copy() if index is None else index[kernel.index]
+                if phase is not None:
+                    phase = phase[kernel.index]
+            if kernel.phase is not None:
+                flat = np.ascontiguousarray(np.broadcast_to(kernel.phase, dims)).reshape(-1)
+                phase = flat if phase is None else phase * flat
+        return _Kernel("fused", None, targets, index=index, phase=phase)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+EXACT_UNITS = np.array([1.0, -1.0, 1.0j, -1.0j], dtype=np.complex128)
+
+registers = st.lists(st.sampled_from([2, 4]), min_size=1, max_size=5).map(tuple)
+
+
+def assert_same_array(actual: np.ndarray | None, expected: np.ndarray | None) -> None:
+    assert (actual is None) == (expected is None)
+    if expected is not None:
+        assert actual.dtype == expected.dtype
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual, expected)
+
+
+@st.composite
+def op_targets(draw, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """An unsorted tuple of 1-3 distinct devices of the register."""
+    count = draw(st.integers(1, min(3, len(dims))))
+    return tuple(draw(st.permutations(range(len(dims))))[:count])
+
+
+@st.composite
+def monomial_ops(draw, dims: tuple[int, ...], inexact: bool):
+    """``(unitary, targets)`` of a random permutation-with-phases op.
+
+    Phases are all ones, exact units ``{±1, ±i}``, or (when ``inexact``)
+    arbitrary unit-modulus values; the map is the identity half the time,
+    which classifies as ``diag``.
+    """
+    targets = draw(op_targets(dims))
+    size = math.prod(dims[t] for t in targets)
+    if draw(st.booleans()):
+        source = np.arange(size)
+    else:
+        source = np.array(draw(st.permutations(range(size))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["ones", "units", "inexact"] if inexact else ["ones", "units"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ones":
+        phases = np.ones(size, dtype=np.complex128)
+    elif kind == "units":
+        phases = EXACT_UNITS[rng.integers(0, 4, size)]
+    else:
+        phases = np.exp(2j * np.pi * rng.random(size))
+    unitary = np.zeros((size, size), dtype=np.complex128)
+    unitary[np.arange(size), source] = phases
+    return unitary, targets
+
+
+# ---------------------------------------------------------------------------
+# property tests against the frozen reference
+# ---------------------------------------------------------------------------
+
+
+class TestGatherIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(dims=registers, data=st.data())
+    def test_matches_reference(self, dims, data):
+        targets = data.draw(op_targets(dims))
+        size = math.prod(dims[t] for t in targets)
+        source = np.array(data.draw(st.permutations(range(size))), dtype=np.int64)
+        assert_same_array(
+            _full_gather_index(source, targets, dims),
+            legacy_full_gather_index(source, targets, dims),
+        )
+
+    @pytest.mark.parametrize("target", [0, 4, 8])
+    def test_classify_on_4_9_register(self, target):
+        dims = (4,) * 9
+        source = np.array([2, 0, 3, 1])
+        phases = np.array([1.0, 1.0j, -1.0, np.exp(0.3j)])
+        unitary = np.zeros((4, 4), dtype=np.complex128)
+        unitary[np.arange(4), source] = phases
+        kernel = _classify(unitary, (target,), dims, [1])
+        assert kernel.kind == "monomial"
+        assert_same_array(kernel.index, legacy_full_gather_index(source, (target,), dims))
+        assert kernel.index.dtype == np.int32
+        expected_phase = np.ones([4 if axis == target else 1 for axis in range(9)], complex)
+        expected_phase.reshape(-1)[:] = phases
+        assert_same_array(kernel.phase, expected_phase)
+
+
+class TestMonomialStructure:
+    @settings(max_examples=100, deadline=None)
+    @given(dims=registers, inexact=st.booleans(), data=st.data())
+    def test_matches_reference_on_monomials(self, dims, inexact, data):
+        unitary, _ = data.draw(monomial_ops(dims, inexact))
+        actual = _monomial_structure(unitary)
+        expected = legacy_monomial_structure(unitary)
+        assert actual is not None and expected is not None
+        for got, want in zip(actual, expected):
+            assert_same_array(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dims=registers,
+        defect=st.sampled_from(["dense", "empty_row", "extra_entry"]),
+        data=st.data(),
+    )
+    def test_rejects_non_monomials_like_reference(self, dims, defect, data):
+        unitary, _ = data.draw(monomial_ops(dims, inexact=True))
+        row = data.draw(st.integers(0, unitary.shape[0] - 1))
+        if defect == "dense":
+            unitary = unitary + 0.5
+        elif defect == "empty_row":
+            unitary[row] = 0.0
+        else:
+            column = (int(np.flatnonzero(unitary[row])[0]) + 1) % unitary.shape[0]
+            unitary[row, column] += 0.25
+        assert legacy_monomial_structure(unitary) is None
+        assert _monomial_structure(unitary) is None
+
+
+class TestFusedBuild:
+    @settings(max_examples=150, deadline=None)
+    @given(dims=registers, data=st.data())
+    def test_matches_reference(self, dims, data):
+        # The fusion rule admits at most one member with phases outside
+        # {±1, ±i}; which one (if any) is drawn.
+        count = data.draw(st.integers(2, 5))
+        inexact_at = data.draw(st.integers(-1, count - 1))
+        members = []
+        for position in range(count):
+            unitary, targets = data.draw(monomial_ops(dims, inexact=position == inexact_at))
+            members.append(_classify(unitary, targets, dims, [1]))
+        actual = _Fuser(dims)._build(members)
+        expected = LegacyFuser(dims)._build(members)
+        assert actual.kind == expected.kind
+        assert actual.targets == expected.targets
+        assert actual.unitary is None and expected.unitary is None
+        assert_same_array(actual.index, expected.index)
+        assert_same_array(actual.phase, expected.phase)
+
+
+# ---------------------------------------------------------------------------
+# pinned program digests
+# ---------------------------------------------------------------------------
+
+
+def _feed_array(digest, array) -> None:
+    if array is None:
+        digest.update(b"none;")
+        return
+    array = np.asarray(array)
+    digest.update(f"{array.dtype.str}{array.shape};".encode())
+    digest.update(np.ascontiguousarray(array).tobytes())
+
+
+def program_digest(programs) -> str:
+    """SHA-256 over every gate kernel and idle step of ``programs``, in order."""
+    digest = hashlib.sha256()
+    for program in programs:
+        for step in list(program.steps) + list(program.ideal_steps):
+            if isinstance(step, GateStep):
+                kernel = step.kernel
+                digest.update(f"gate:{kernel.kind}:{kernel.targets}:{kernel.reshape};".encode())
+                for array in (kernel.index, kernel.phase, kernel.unitary):
+                    _feed_array(digest, array)
+            else:
+                digest.update(b"idle;")
+                for values in (step.lambdas, step.weights, step.sqrt_weights):
+                    _feed_array(digest, np.asarray(values, dtype=np.float64))
+    return digest.hexdigest()
+
+
+def _programs(points, fuse: bool):
+    programs = []
+    for point in points:
+        compilation = _compiled(
+            point.workload, point.size, point.workload_kwargs, point.strategy, point.error_factor
+        )
+        noise_model = NoiseModel(coherence=CoherenceModel(excited_scale=point.coherence_scale))
+        programs.append(compile_program(compilation.physical_circuit, noise_model, fuse=fuse))
+    return programs
+
+
+#: Digests of the programs the frozen full-register builders produced.
+PINNED_DIGESTS = {
+    ("fig7-mini", True): "bae9f441d95a079ce075421f93b8bf486000db3f7916b9bd1a8107bc3611f30c",
+    ("fig7-mini", False): "2ca27b196b2127f6ae556ae171feeb4e7e0b6896c2054949cee006d06e5ffcaa",
+    ("qram-9", True): "816347f5ef3577d5b578a5919511c2263c56f7c7c2c7ccb68127d2bd1bc2c5a7",
+    ("qram-9", False): "19950452e7db0fb250d8853ea7b100f2a1b529c190c7e88443cc958e9d781e3f",
+}
+
+GRIDS = {
+    "fig7-mini": lambda: mini_points(num_trajectories=4),
+    # The largest fused program of the Fig. 7 grid (4^9 register).
+    "qram-9": lambda: [
+        SweepPoint(workload="qram", size=9, strategy="MIXED_RADIX_CCZ", num_trajectories=1)
+    ],
+}
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_program_digest_is_pinned(grid, fuse):
+    programs = _programs(GRIDS[grid](), fuse)
+    assert program_digest(programs) == PINNED_DIGESTS[(grid, fuse)]

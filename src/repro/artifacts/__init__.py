@@ -1,14 +1,13 @@
 """Typed artifact graph: content-addressed nodes, providers, ``compute``.
 
-The reproduction's products — compiled programs, no-jump fastpath record
-bundles, sweep tables, figure CSV/JSON files — form a DAG of
-content-addressed artifacts.  This package makes the DAG explicit
-(sciline-style): :mod:`~repro.artifacts.nodes` declares the node types,
-:mod:`~repro.artifacts.providers` binds each to the existing subsystem
-that builds it, and :mod:`~repro.artifacts.graph` plans and evaluates
-targets with at-most-once semantics per content key, persisting through
-the shared compile cache.  :mod:`~repro.artifacts.figures` is the seam the
-figure drivers call through.
+The reproduction's products — compiled programs, sweep tables, figure
+CSV/JSON files — form a DAG of content-addressed artifacts.  This package
+makes the DAG explicit (sciline-style): :mod:`~repro.artifacts.nodes`
+declares the node types, :mod:`~repro.artifacts.providers` binds each to
+the existing subsystem that builds it, and :mod:`~repro.artifacts.graph`
+plans and evaluates targets with at-most-once semantics per content key,
+persisting through the shared compile cache.  :mod:`~repro.artifacts.figures`
+is the seam the figure drivers call through.
 """
 
 from repro.artifacts.graph import (
@@ -26,7 +25,6 @@ from repro.artifacts.nodes import (
     CompiledProgramArtifact,
     FigureCSVArtifact,
     FigureJSONArtifact,
-    NoJumpRecordArtifact,
     RBSurvivalsArtifact,
     SweepTableArtifact,
 )
@@ -36,7 +34,6 @@ from repro.artifacts.providers import (
     CompiledProgramProvider,
     FigureCSVProvider,
     FigureJSONProvider,
-    NoJumpRecordProvider,
     RBSurvivalsProvider,
     SweepTableProvider,
     build_graph,
@@ -59,8 +56,6 @@ __all__ = [
     "GraphPlan",
     "GraphStats",
     "MissingProviderError",
-    "NoJumpRecordArtifact",
-    "NoJumpRecordProvider",
     "Provider",
     "RBSurvivalsArtifact",
     "RBSurvivalsProvider",

@@ -1,9 +1,8 @@
 """The typed artifact graph engine: providers, planning, memoized compute.
 
-The pipeline's intermediate products — compiled programs, no-jump fastpath
-records, sweep tables, figure CSV/JSON files — are already a DAG of
-content-addressed artifacts; this module makes the DAG explicit in the
-sciline style: one :class:`Provider` per artifact *type*, registered in a
+The pipeline's intermediate products — compiled programs, sweep tables,
+figure CSV/JSON files — are already a DAG of content-addressed artifacts;
+this module makes the DAG explicit in the sciline style: one :class:`Provider` per artifact *type*, registered in a
 :class:`Graph`, with :meth:`Graph.compute` as the sole entry point.
 
 Identity is a content hash, not an object id: every node (a small frozen

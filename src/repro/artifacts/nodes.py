@@ -5,8 +5,6 @@ content-addressed product of the pipeline:
 
 * :class:`CompiledProgramArtifact` — one compilation through the shared
   compile cache (workload x size x strategy x error factor).
-* :class:`NoJumpRecordArtifact` — the checkpointed no-jump fastpath record
-  bundle for a compiled program under one noise configuration.
 * :class:`SweepTableArtifact` — the evaluated rows of a ``SweepPoint``
   grid (the in-memory table every figure is rendered from).
 * :class:`FigureCSVArtifact` / :class:`FigureJSONArtifact` — a table
@@ -36,7 +34,6 @@ __all__ = [
     "CompiledProgramArtifact",
     "FigureCSVArtifact",
     "FigureJSONArtifact",
-    "NoJumpRecordArtifact",
     "RBSurvivalsArtifact",
     "SweepTableArtifact",
 ]
@@ -83,72 +80,6 @@ class CompiledProgramArtifact:
                 _kwargs_token(self.workload_kwargs),
                 self.strategy,
                 repr(self.error_factor),
-                f"backend:{resolve_backend_name(None)}",
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class NoJumpRecordArtifact:
-    """The no-jump fastpath record bundle of one compiled program's streams.
-
-    Depends on the matching :class:`CompiledProgramArtifact`.  The noise
-    configuration (error factor, coherence scale) is identity because the
-    record captures the deterministic no-jump evolution *under that noise
-    model*; ``seed`` and ``num_trajectories`` are identity because the
-    default sampler draws one Haar-random input state per spawned stream —
-    the bundle covers exactly the states a fixed-count evaluation of that
-    (seed, count) pair replays.
-    """
-
-    workload: str
-    size: int
-    strategy: str
-    error_factor: float = 1.0
-    coherence_scale: float = 1.0
-    seed: int = 0
-    num_trajectories: int = 1
-    workload_kwargs: tuple[tuple[str, Any], ...] = ()
-
-    @classmethod
-    def from_point(cls, point: SweepPoint) -> "NoJumpRecordArtifact":
-        if not isinstance(point.num_trajectories, int) or point.num_trajectories < 1:
-            raise ValueError(
-                "record artifacts cover fixed-count simulating points only, "
-                f"got num_trajectories={point.num_trajectories!r}"
-            )
-        return cls(
-            workload=point.workload,
-            size=point.size,
-            strategy=point.strategy,
-            error_factor=point.error_factor,
-            coherence_scale=point.coherence_scale,
-            seed=point.seed,
-            num_trajectories=point.num_trajectories,
-            workload_kwargs=point.workload_kwargs,
-        )
-
-    def compiled(self) -> CompiledProgramArtifact:
-        return CompiledProgramArtifact(
-            workload=self.workload,
-            size=self.size,
-            strategy=self.strategy,
-            error_factor=self.error_factor,
-            workload_kwargs=self.workload_kwargs,
-        )
-
-    def identity_token(self) -> str:
-        return "|".join(
-            [
-                "nojump-record",
-                self.workload,
-                str(self.size),
-                _kwargs_token(self.workload_kwargs),
-                self.strategy,
-                repr(self.error_factor),
-                repr(self.coherence_scale),
-                str(self.seed),
-                str(self.num_trajectories),
                 f"backend:{resolve_backend_name(None)}",
             ]
         )

@@ -2,13 +2,14 @@
 
 Nothing here re-implements pipeline machinery: compilation goes through
 the sweep engine's cached ``_compiled`` path (so the compile cache's audit
-log stays the recompilation oracle), record building goes through the
-fastpath's ``prescan_trajectories`` (so bundles land in the shared record
-store under the existing publication gate), and table evaluation goes
-through ``SweepRunner.iter_evaluate`` — the single point-execution engine
-— or, when an ``executor`` is injected, through any fan-out that honours
-the scheduler's landed-row contract.  The graph only decides *what* to
-evaluate and *whether* it already happened.
+log stays the recompilation oracle), and table evaluation goes through
+``SweepRunner.iter_evaluate`` — the single point-execution engine — or,
+when an ``executor`` is injected, through any fan-out that honours the
+scheduler's landed-row contract.  No-jump fastpath records are not graph
+nodes: each simulated point's evaluation compiles its trajectory program
+and builds, memoizes and publishes the records it replays itself, in
+whichever process runs it.  The graph only decides *what* to evaluate and
+*whether* it already happened.
 
 Heavy imports (numpy, the noise stack) stay inside build methods: nodes
 and graphs are cheap to construct in CLI front-ends and tests.
@@ -25,7 +26,6 @@ from repro.artifacts.nodes import (
     CompiledProgramArtifact,
     FigureCSVArtifact,
     FigureJSONArtifact,
-    NoJumpRecordArtifact,
     RBSurvivalsArtifact,
     SweepTableArtifact,
 )
@@ -36,7 +36,6 @@ __all__ = [
     "CompiledProgramProvider",
     "FigureCSVProvider",
     "FigureJSONProvider",
-    "NoJumpRecordProvider",
     "RBSurvivalsProvider",
     "SweepTableProvider",
     "build_graph",
@@ -47,9 +46,9 @@ __all__ = [
 class BuildFailure:
     """A per-node build error, carried as a value instead of raised.
 
-    Upstream providers (compilation, record prescan) never abort a table:
-    the sweep engine's own per-point failure capture is the authority on
-    failed points — it attributes every failure to its durable point key
+    The upstream compilation provider never aborts a table: the sweep
+    engine's own per-point failure capture is the authority on failed
+    points — it attributes every failure to its durable point key
     and raises ``SweepFailure`` with the complete set, exactly as a direct
     ``runner.run`` would.  The sentinel keeps the graph walk alive so that
     capture is reached.
@@ -88,61 +87,11 @@ class CompiledProgramProvider(Provider):
             )
 
 
-class NoJumpRecordProvider(Provider):
-    """Materialize the no-jump fastpath record bundle of one program.
-
-    The point's trajectory streams are reproduced exactly as a fixed-count
-    evaluation spawns them (one ``rng.spawn`` off the seed), then
-    prescanned: every record the evaluation will replay lands in the
-    shared store (memory always; disk past the publication gate over the
-    stream count), so the table build fetches instead of building.  The
-    artifact value is the per-bundle summary (stream count, clean count,
-    mean clean probability) — deterministic scalars, cheap to persist.
-    """
-
-    artifact_type = NoJumpRecordArtifact
-    name = "nojump-record"
-
-    def requires(self, node: NoJumpRecordArtifact) -> Sequence[Any]:
-        return (node.compiled(),)
-
-    def build(self, node: NoJumpRecordArtifact, inputs: Sequence[Any]) -> Any:
-        from repro.noise.fastpath import prescan_trajectories
-        from repro.noise.model import NoiseModel
-        from repro.noise.trajectory import TrajectorySimulator, _default_state_sampler
-        from repro.topology.device import CoherenceModel
-
-        compilation = inputs[0]
-        if isinstance(compilation, BuildFailure):
-            return compilation
-        physical = compilation.physical_circuit
-        simulator = TrajectorySimulator(
-            NoiseModel(coherence=CoherenceModel(excited_scale=node.coherence_scale)),
-            rng=node.seed,
-        )
-        program = simulator.program_for(physical)
-        streams = simulator.rng.spawn(node.num_trajectories)
-        prescan = prescan_trajectories(
-            physical,
-            simulator.noise_model,
-            program,
-            simulator.backend,
-            list(streams),
-            _default_state_sampler(physical),
-        )
-        return {
-            "streams": len(prescan),
-            "clean": int(prescan.clean.sum()),
-            "mean_clean_probability": float(prescan.clean_probability.mean()),
-        }
-
-
 class SweepTableProvider(Provider):
     """Evaluate one ``SweepPoint`` grid into CSV/JSON-ready rows.
 
-    Depends on the deduped compiled programs of the grid (and, when the
-    fast path is on, the no-jump records of the simulating points), so
-    shared upstream work across tables resolves before any point runs.
+    Depends on the deduped compiled programs of the grid, so compilations
+    shared across tables resolve before any point runs.
     Evaluation itself goes through ``runner.iter_evaluate`` — scheduling,
     failure capture and the bit-for-bit guarantees are the sweep engine's,
     unchanged — or through ``executor`` (a callable mapping points to
@@ -165,22 +114,9 @@ class SweepTableProvider(Provider):
         self.evaluations: dict[SweepTableArtifact, list[Any]] = {}
 
     def requires(self, node: SweepTableArtifact) -> Sequence[Any]:
-        from repro.noise.fastpath import fastpath_enabled
-
         upstream: dict[Any, None] = {}
         for point in node.points:
             upstream.setdefault(CompiledProgramArtifact.from_point(point))
-        if fastpath_enabled():
-            # Fixed-count simulating points pre-warm their record bundles;
-            # adaptive points prescan internally, compile-only points have
-            # no trajectories to record.
-            for point in node.points:
-                if (
-                    isinstance(point.num_trajectories, int)
-                    and point.num_trajectories > 0
-                    and point.target_stderr is None
-                ):
-                    upstream.setdefault(NoJumpRecordArtifact.from_point(point))
         return tuple(upstream)
 
     def build(self, node: SweepTableArtifact, inputs: Sequence[Any]) -> Any:
@@ -286,7 +222,6 @@ def build_graph(
     return Graph(
         providers=(
             CompiledProgramProvider(),
-            NoJumpRecordProvider(),
             SweepTableProvider(runner=runner, executor=executor),
             FigureCSVProvider(),
             FigureJSONProvider(),

@@ -13,19 +13,19 @@ import json
 import pytest
 
 import repro.noise.fastpath as fastpath_mod
+import repro.noise.program as program_mod
 from repro.artifacts import (
     BuildFailure,
     CompiledProgramArtifact,
-    NoJumpRecordArtifact,
     SweepTableArtifact,
     build_graph,
 )
 from repro.artifacts.figures import compute_table, scheduler_table_executor
-from repro.core.compile_cache import get_cache
+from repro.core.compile_cache import get_cache, reset_cache
 from repro.experiments.cswap_study import cswap_study_points
 from repro.experiments.fidelity_sweep import fidelity_sweep_points, run_fidelity_sweep
 from repro.experiments.scheduler import named_grid_points
-from repro.experiments.sweep import SweepFailure, SweepPoint, SweepRunner, sweep_rows
+from repro.experiments.sweep import SweepFailure, SweepPoint, SweepRunner, point_key, sweep_rows
 from repro.noise.fastpath import reset_fastpath
 from helpers import compile_log_keys
 
@@ -109,7 +109,6 @@ class TestAtMostOnceAcrossFigures:
         ]
         plan = graph.plan(tables)
         compiled_nodes = [n for n in plan.order if isinstance(n, CompiledProgramArtifact)]
-        record_nodes = [n for n in plan.order if isinstance(n, NoJumpRecordArtifact)]
         assert len(compiled_nodes) == 9
 
         graph.compute_many(tables)
@@ -119,10 +118,12 @@ class TestAtMostOnceAcrossFigures:
         # appear exactly once across both figures.
         log_keys = compile_log_keys(shared_cache)
         assert len(log_keys) == len(set(log_keys)) > 0
-        # Every record bundle was built exactly once, during its provider's
-        # prescan: the table evaluations replayed them from the store.
+        # Every record was built exactly once, during table evaluation: a
+        # point both tables share replays the first table's records from the
+        # shared store.
+        simulated = {point_key(point) for point in [*fig7, *fig9a] if point.num_trajectories}
         stats = fastpath_mod.stats()
-        assert stats["records_built"] == 4 * len(record_nodes)
+        assert stats["records_built"] == 4 * len(simulated)
 
     def test_identical_tables_under_different_labels_evaluate_once(
         self, tmp_path, shared_cache
@@ -137,6 +138,53 @@ class TestAtMostOnceAcrossFigures:
         )
         assert first == second
         assert all(count == 1 for count in graph.builds.values())
+
+
+class TestOncePerPoint:
+    """A cold graph run does each simulated point's work once, in the table."""
+
+    @pytest.fixture
+    def memory_only_cache(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        reset_cache()
+        yield
+        reset_cache()
+
+    def test_cold_run_compiles_each_program_and_builds_each_record_once(
+        self, tmp_path, monkeypatch, memory_only_cache
+    ):
+        compiles = []
+        compile_program = program_mod.compile_program
+
+        def counting_compile(physical, *args, **kwargs):
+            compiles.append(physical)
+            return compile_program(physical, *args, **kwargs)
+
+        monkeypatch.setattr(program_mod, "compile_program", counting_compile)
+        points = named_grid_points("fig7-mini")
+        simulated = [point for point in points if point.num_trajectories]
+        assert simulated
+        graph_run(points, tmp_path, name="fig7-mini")
+        assert len(compiles) == len(simulated)
+        stats = fastpath_mod.stats()
+        assert stats["records_built"] == sum(p.num_trajectories for p in simulated)
+        assert stats["prescanned"] == 0
+
+    def test_pooled_table_leaves_all_record_work_to_the_workers(self, tmp_path, shared_cache):
+        points = named_grid_points("fig7-mini")
+        serial, _ = graph_run(points, tmp_path, label="serial", name="fig7-mini")
+        reset_fastpath()
+        pooled = SweepRunner(
+            max_workers=2,
+            csv_path=tmp_path / "pooled.csv",
+            json_path=tmp_path / "pooled.json",
+        )
+        compute_table(points, pooled, name="fig7-mini")
+        assert pooled.csv_path.read_bytes() == serial.csv_path.read_bytes()
+        assert pooled.json_path.read_bytes() == serial.json_path.read_bytes()
+        stats = fastpath_mod.stats()
+        assert stats["prescanned"] == 0
+        assert stats["records_built"] == 0
 
 
 class TestWarmCacheReplay:

@@ -87,6 +87,12 @@ _CACHE_KEY_INVARIANT = (
     "changing token construction without bumping CACHE_SCHEMA_VERSION "
     "aliases new requests onto incompatible cached entries"
 )
+_RESULT_INVARIANT = (
+    "persisted point results bake in the whole trajectory computation "
+    "(sampler, spawn order, engines, fidelity, adaptive estimator) keyed by "
+    "CACHE_SCHEMA_VERSION; changing it without a bump lets a warm figure "
+    "rerun replay stale results instead of recomputing"
+)
 _SHARD_INVARIANT = (
     "point identity is the durable identity of scheduled sweep artifacts; "
     "changing it without bumping SHARD_SCHEMA_VERSION orphans or "
@@ -109,6 +115,10 @@ def _replay(name: str) -> Region:
 
 def _cache_key(name: str) -> Region:
     return Region("repro/core/compile_cache.py", name, "CACHE_SCHEMA_VERSION", _CACHE_KEY_INVARIANT)
+
+
+def _result(file: str, name: str) -> Region:
+    return Region(file, name, "CACHE_SCHEMA_VERSION", _RESULT_INVARIANT)
 
 
 def _shard(file: str, name: str) -> Region:
@@ -147,6 +157,21 @@ REGIONS: tuple[Region, ...] = (
     _cache_key("error_model_token"),
     _cache_key("compilation_cache_key"),
     _cache_key("physical_token"),
+    # Persisted point results (artifacts/providers.py): the result-layer key
+    # and every function whose output a cached result stands in for.
+    _result("repro/artifacts/providers.py", "point_result_key"),
+    _result("repro/noise/trajectory.py", "TrajectorySimulator.average_fidelity"),
+    _result("repro/noise/trajectory.py", "TrajectorySimulator._fidelities_for_streams"),
+    _result("repro/noise/trajectory.py", "_default_state_sampler"),
+    _result("repro/qudit/random.py", "haar_random_state"),
+    _result("repro/core/encoding.py", "embed_logical_state"),
+    _result("repro/qudit/states.py", "fidelity"),
+    _result("repro/noise/channels.py", "sample_depolarizing_error_factors"),
+    _result("repro/noise/model.py", "NoiseModel.idle_decay_probabilities"),
+    _result("repro/noise/batched.py", "BatchedTrajectoryEngine"),
+    _result("repro/noise/adaptive.py", "adaptive_average_fidelity"),
+    _result("repro/noise/adaptive.py", "stratified_contributions"),
+    _result("repro/noise/adaptive.py", "_simulate_deviating"),
     # Point identity (experiments/sweep.py + scheduler.py): resumable sweeps.
     _shard("repro/experiments/sweep.py", "point_key"),
     _shard("repro/experiments/scheduler.py", "point_to_json"),

@@ -9,7 +9,9 @@ scheduler's landed-row contract.  No-jump fastpath records are not graph
 nodes: each simulated point's evaluation compiles its trajectory program
 and builds, memoizes and publishes the records it replays itself, in
 whichever process runs it.  The graph only decides *what* to evaluate and
-*whether* it already happened.
+*whether* it already happened — including, with ``$REPRO_CACHE_DIR``, per
+simulated point: the table provider persists each point's trajectory result
+under :func:`point_result_key`, so a warm rerun simulates nothing.
 
 Heavy imports (numpy, the noise stack) stay inside build methods: nodes
 and graphs are cheap to construct in CLI front-ends and tests.
@@ -39,6 +41,7 @@ __all__ = [
     "RBSurvivalsProvider",
     "SweepTableProvider",
     "build_graph",
+    "point_result_key",
 ]
 
 
@@ -87,6 +90,56 @@ class CompiledProgramProvider(Provider):
             )
 
 
+def point_result_key(point: Any, physical: Any) -> str:
+    """Disk-layer key of one simulated point's trajectory result.
+
+    Folds the point's identity (:func:`~repro.experiments.sweep.point_key`:
+    seed, budget, noise axes, batch size, workload arguments), the compiled
+    trajectory program's key (the physical op stream and the noise model the
+    point simulates under), the resolved array backend and
+    ``CACHE_SCHEMA_VERSION``.  Adaptive points also fold the resolved
+    ``REPRO_ADAPTIVE_ROUND`` / ``REPRO_ADAPTIVE_MAX_TRAJ``, which change
+    their results.  ``workers`` and the fast-path knobs stay out: they
+    never change a bit.
+    """
+    from repro.backends import resolve_backend_name
+    from repro.core.compile_cache import CACHE_SCHEMA_VERSION, fingerprint
+    from repro.experiments.sweep import point_key
+    from repro.noise.model import NoiseModel
+    from repro.noise.program import _program_cache_key
+    from repro.topology.device import CoherenceModel
+
+    noise_model = NoiseModel(coherence=CoherenceModel(excited_scale=point.coherence_scale))
+    parts = [
+        "point-result",
+        f"schema:{CACHE_SCHEMA_VERSION}",
+        point_key(point),
+        _program_cache_key(physical, noise_model, True),
+        f"backend:{resolve_backend_name()}",
+    ]
+    if point.num_trajectories == "auto" or point.target_stderr is not None:
+        from repro.noise.adaptive import adaptive_round_size, default_max_trajectories
+
+        parts.append(f"adaptive:{adaptive_round_size()}:{default_max_trajectories()}")
+    return fingerprint(parts)
+
+
+def _cached_result(cache: Any, key: str) -> Any:
+    """A persisted point result, or ``None`` (recompute) on a miss.
+
+    Undeserializable entries are quarantined by the cache itself; one that
+    unpickles to anything but a trajectory result is quarantined here with
+    its reason record, exactly like a malformed fast-path bundle.
+    """
+    from repro.noise.trajectory import TrajectoryResult
+
+    value = cache.disk_get(key)
+    if value is None or isinstance(value, TrajectoryResult):
+        return value
+    cache.quarantine_entry(key, "point result is not a TrajectoryResult")
+    return None
+
+
 class SweepTableProvider(Provider):
     """Evaluate one ``SweepPoint`` grid into CSV/JSON-ready rows.
 
@@ -99,6 +152,18 @@ class SweepTableProvider(Provider):
     runner's contract: the failure artifact is written, ``SweepFailure``
     raised.  The raw evaluations of the last build per node are kept on
     ``self.evaluations`` so driver CLIs can return them unchanged.
+
+    With a persistent compile cache (``$REPRO_CACHE_DIR``) the runner path
+    adds a per-point result layer: every simulated point whose compilation
+    succeeded is looked up under :func:`point_result_key` in the cache's
+    disk layer.  A hit is assembled by ``evaluate_point(point,
+    simulation=cached)`` in this process — no trajectory runs, no program
+    or record loads, nothing is dispatched to the runner's workers.  Misses
+    run through ``runner.iter_evaluate`` as before, and each successful
+    result is published as it lands; failed points never are.  The
+    ``executor`` path and runs without ``$REPRO_CACHE_DIR`` never touch the
+    layer.  To force a recompute, point ``$REPRO_CACHE_DIR`` at a fresh
+    directory.
     """
 
     artifact_type = SweepTableArtifact
@@ -120,10 +185,12 @@ class SweepTableProvider(Provider):
         return tuple(upstream)
 
     def build(self, node: SweepTableArtifact, inputs: Sequence[Any]) -> Any:
+        from repro.core.compile_cache import get_cache
         from repro.experiments.sweep import (
             PointFailure,
             SweepFailure,
             SweepRunner,
+            evaluate_point,
             sweep_rows,
         )
 
@@ -132,17 +199,39 @@ class SweepTableProvider(Provider):
             return list(self.executor(points))
         runner = self.runner if self.runner is not None else SweepRunner(max_workers=1)
         evaluations: list[Any] = [None] * len(points)
+        cache = get_cache()
+        result_keys = self._result_keys(node, inputs) if cache.persistent else {}
+        for index, key in result_keys.items():
+            simulation = _cached_result(cache, key)
+            if simulation is not None:
+                evaluations[index] = evaluate_point(points[index], simulation=simulation)
+        pending = [index for index, evaluation in enumerate(evaluations) if evaluation is None]
         failures: list[PointFailure] = []
-        for index, outcome in runner.iter_evaluate(points):
+        for position, outcome in runner.iter_evaluate([points[index] for index in pending]):
+            index = pending[position]
             if isinstance(outcome, PointFailure):
                 failures.append(outcome)
             else:
                 evaluations[index] = outcome
+                if index in result_keys:
+                    cache.disk_put(result_keys[index], outcome.simulation)
         if failures:
             runner.write_failures(failures)
             raise SweepFailure(failures)
         self.evaluations[node] = evaluations
         return sweep_rows(points, evaluations)
+
+    def _result_keys(self, node: SweepTableArtifact, inputs: Sequence[Any]) -> dict[int, str]:
+        """Result-layer keys of the simulated, successfully compiled points."""
+        from repro.experiments.sweep import _point_simulates
+
+        compiled = dict(zip(self.requires(node), inputs))
+        keys: dict[int, str] = {}
+        for index, point in enumerate(node.points):
+            compilation = compiled[CompiledProgramArtifact.from_point(point)]
+            if _point_simulates(point) and not isinstance(compilation, BuildFailure):
+                keys[index] = point_result_key(point, compilation.physical_circuit)
+        return keys
 
 
 class FigureCSVProvider(Provider):

@@ -23,10 +23,17 @@ the batched engine is bit-for-bit equivalent to the loop path.
 Simulated points run through the checkpointed no-jump fast path by default
 (:mod:`repro.noise.fastpath`): the deterministic no-jump prefix of each
 trajectory is memoized — and, with ``$REPRO_CACHE_DIR``, persisted next to
-the compilations — so repeated sweeps, resumed jobs and the CI double
-runs replay records instead of re-evolving statevectors.  The fast path is
-bit-for-bit identical to the explicit engines; ``REPRO_NO_FASTPATH=1`` is
-the escape hatch back to them.
+the compilations — so repeated direct ``SweepRunner`` sweeps and resumed
+lease jobs replay records instead of re-evolving statevectors.  The fast
+path is bit-for-bit identical to the explicit engines;
+``REPRO_NO_FASTPATH=1`` is the escape hatch back to them.
+
+The figure drivers go one level further.  They evaluate grids through the
+artifact graph (:mod:`repro.artifacts`), whose table provider persists
+each simulated point's result under ``$REPRO_CACHE_DIR`` and answers a
+warm rerun through :func:`evaluate_point`'s ``simulation`` argument, so
+such a rerun simulates nothing and reads no record.  :class:`SweepRunner`
+itself never reads that layer.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from repro.core.metrics import evaluate_metrics
 from repro.core.strategies import Strategy
 from repro.experiments.runner import StrategyEvaluation
 from repro.noise.model import NoiseModel
-from repro.noise.trajectory import TrajectorySimulator
+from repro.noise.trajectory import TrajectoryResult, TrajectorySimulator
 from repro.topology.device import CoherenceModel
 from repro.workloads import workload_by_name
 
@@ -195,8 +202,15 @@ def _resolve_batch_size(point: SweepPoint, hilbert_dim: int) -> int | None:
     return point.batch_size
 
 
-def evaluate_point(point: SweepPoint) -> StrategyEvaluation:
-    """Compile, estimate EPS and (optionally) simulate one sweep point."""
+def evaluate_point(
+    point: SweepPoint, simulation: TrajectoryResult | None = None
+) -> StrategyEvaluation:
+    """Compile, estimate EPS and (optionally) simulate one sweep point.
+
+    ``simulation`` supplies the point's trajectory result instead of running
+    it — the artifact graph's per-point result layer hands back a persisted
+    result this way, so a replayed row is assembled by exactly this code.
+    """
     compilation = _compiled(
         point.workload, point.size, point.workload_kwargs, point.strategy, point.error_factor
     )
@@ -204,8 +218,7 @@ def evaluate_point(point: SweepPoint) -> StrategyEvaluation:
     physical = compilation.physical_circuit
     metrics = evaluate_metrics(physical, coherence)
 
-    simulation = None
-    if _point_simulates(point):
+    if simulation is None and _point_simulates(point):
         simulator = TrajectorySimulator(NoiseModel(coherence=coherence), rng=point.seed)
         hilbert_dim = int(np.prod(physical.device_dims))
         simulation = simulator.average_fidelity(

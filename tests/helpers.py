@@ -10,10 +10,12 @@ collection, so the import resolves unambiguously.
 
 from __future__ import annotations
 
+from repro.artifacts.providers import point_result_key
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.compiler import compile_circuit
 from repro.core.strategies import Strategy
 from repro.experiments.fidelity_sweep import fidelity_sweep_points
+from repro.experiments.sweep import _compiled
 
 
 def compile_log_keys(cache_dir):
@@ -22,6 +24,14 @@ def compile_log_keys(cache_dir):
     if not log.exists():
         return []
     return [line.split()[1] for line in log.read_text().splitlines()]
+
+
+def result_key(point):
+    """The per-point result-layer key the table provider looks ``point`` up under."""
+    compilation = _compiled(
+        point.workload, point.size, point.workload_kwargs, point.strategy, point.error_factor
+    )
+    return point_result_key(point, compilation.physical_circuit)
 
 
 def mini_points(num_trajectories=3):

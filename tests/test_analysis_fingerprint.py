@@ -25,6 +25,8 @@ CACHE_FILE = "repro/core/compile_cache.py"
 SWEEP_FILE = "repro/experiments/sweep.py"
 SHARD_FILE = "repro/experiments/scheduler.py"
 FASTPATH_FILE = "repro/noise/fastpath.py"
+PROVIDERS_FILE = "repro/artifacts/providers.py"
+STATES_FILE = "repro/qudit/states.py"
 
 
 @pytest.fixture
@@ -143,6 +145,16 @@ def test_replay_region_is_guarded(tree: Path) -> None:
     assert len(findings) == 1
     assert "_bundle_key" in findings[0].message
     assert "CACHE_SCHEMA_VERSION" in findings[0].message
+
+
+def test_persisted_result_regions_are_guarded(tree: Path) -> None:
+    manifest = compute_manifest(tree)
+    edit(tree, PROVIDERS_FILE, '"point-result",', '"point-result-v2",')
+    edit(tree, STATES_FILE, "def fidelity(", "def fidelity(*_unused, ")
+    findings, _ = check_fingerprints(tree, manifest)
+    assert sorted(f.path for f in findings) == sorted([PROVIDERS_FILE, STATES_FILE])
+    assert all("persisted point results" in f.message for f in findings)
+    assert all("CACHE_SCHEMA_VERSION" in f.message for f in findings)
 
 
 def test_removed_region_without_bump_fails(tree: Path) -> None:

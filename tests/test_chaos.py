@@ -2,8 +2,8 @@
 
 The property: for every injected crash/fault point during a durable
 operation (cache put, record-bundle publish, manifest write, lease
-claim/reclaim), a rerun after the crash converges to output **byte
-identical** to a fault-free run — with corrupt artifacts quarantined
+claim/reclaim, point-result publish and read), a rerun after the crash
+converges to output **byte identical** to a fault-free run — with corrupt artifacts quarantined
 (reason-recorded), never honoured and never silently deleted.
 
 The harness enumerates crash points mechanically: a plan with one
@@ -24,11 +24,13 @@ from pathlib import Path
 import pytest
 
 from repro import faults
+from repro.artifacts.figures import compute_table
 from repro.core import storage
-from repro.core.compile_cache import CompileCache
+from repro.core.compile_cache import CompileCache, get_cache
 from repro.experiments.scheduler import LeaseCoordinator, WorkerManifest, plan_job, save_job
-from repro.noise.fastpath import get_record_store
-from helpers import mini_points
+from repro.experiments.sweep import SweepRunner
+from repro.noise.fastpath import get_record_store, reset_fastpath
+from helpers import mini_points, result_key
 
 
 def crash_rule_at(index: int) -> faults.FaultPlan:
@@ -144,6 +146,79 @@ class TestRecordBundleCrashConsistency:
         reason = json.loads(quarantined.with_name(f"{bundle_key}.pkl.reason.json").read_text())
         assert "record dict" in reason["reason"]
         reset_cache()
+
+
+def table_bytes(points, out_dir, tag):
+    """Compute ``points`` as a graph table from a fresh-process state; CSV+JSON bytes."""
+    reset_fastpath()
+    get_cache().clear_memory()
+    runner = SweepRunner(
+        max_workers=1, csv_path=out_dir / f"{tag}.csv", json_path=out_dir / f"{tag}.json"
+    )
+    compute_table(points, runner, name="chaos")
+    return runner.csv_path.read_bytes(), runner.json_path.read_bytes()
+
+
+class TestPointResultFaults:
+    """The table provider's per-point result layer under injected faults."""
+
+    @pytest.mark.filterwarnings("ignore:compile cache disk layer:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "seed, minimum",
+        [(7, {"torn": 1, "crash": 2}), (9, {"enospc": 1, "crash": 2})],
+        ids=["torn", "enospc"],
+    )
+    def test_seeded_result_faults_reconverge_byte_identical(
+        self, seed, minimum, tmp_path, shared_cache, monkeypatch
+    ):
+        points = mini_points()
+        reference = table_bytes(points, tmp_path, "reference")  # cold, fault-free
+        keys = [result_key(point) for point in points]
+        for key in keys:
+            get_cache().path_for(key).unlink()  # the chaos passes start cold
+        targets = [(op, f"*{key}.pkl") for key in keys for op in ("write", "read")]
+        plan = faults.seeded_plan(seed, targets, num_faults=8, max_at=3)
+        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(plan.to_json()))
+
+        crashes = 0
+        for attempt in range(6):
+            try:
+                assert table_bytes(points, tmp_path, f"chaos{attempt}") == reference
+            except faults.SimulatedCrash:
+                crashes += 1
+        injected = faults.active_plan().stats.as_dict()
+        assert injected["crash"] == crashes
+        assert all(injected[kind] >= count for kind, count in minimum.items()), injected
+
+        # A torn result read back is quarantined with its reason record.
+        quarantined = sorted(shared_cache.glob("quarantine/*.pkl"))
+        assert len(quarantined) == injected["torn"]
+        for path in quarantined:
+            assert path.stem in keys
+            assert path.with_name(f"{path.name}.reason.json").exists()
+
+        # Fault-free, the layer heals: one pass repairs whatever the last
+        # faulty pass left torn, the next is served from healthy entries.
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
+        assert table_bytes(points, tmp_path, "healed") == reference
+        healthy = [
+            pickle.loads(get_cache().path_for(key).read_bytes()).fidelities for key in keys
+        ]
+        assert all(healthy)
+        assert table_bytes(points, tmp_path, "replayed") == reference
+
+    def test_foreign_result_entry_is_quarantined_then_recomputed(self, tmp_path, shared_cache):
+        points = mini_points()[:2]
+        reference = table_bytes(points, tmp_path, "reference")
+        key = result_key(points[0])
+        get_cache().disk_put(key, ["not", "a", "trajectory", "result"])
+        assert table_bytes(points, tmp_path, "recomputed") == reference
+        quarantined = shared_cache / "quarantine" / f"{key}.pkl"
+        assert quarantined.exists()
+        reason = json.loads(quarantined.with_name(f"{key}.pkl.reason.json").read_text())
+        assert "TrajectoryResult" in reason["reason"]
+        # The recompute republished a healthy entry.
+        assert pickle.loads(get_cache().path_for(key).read_bytes()).fidelities
 
 
 class TestManifestWriteCrashConsistency:

@@ -77,6 +77,12 @@ _KERNEL_INVARIANT = (
     "by CACHE_SCHEMA_VERSION; changing it without a bump lets a warm cache "
     "replay stale bits instead of recomputing"
 )
+_PROGRAM_INVARIANT = (
+    "compiled trajectory programs are pickled into the compile cache under "
+    "CACHE_SCHEMA_VERSION; changing kernel classification, fused-kernel "
+    "composition or the event (RNG consumption) order without a bump lets "
+    "a warm cache hand out programs of the old layout"
+)
 _REPLAY_INVARIANT = (
     "the fast path replays recorded RNG draw schedules; changing draw "
     "order, record keys or generator cloning without bumping "
@@ -107,6 +113,10 @@ _LEASE_INVARIANT = (
 
 def _kernel(name: str) -> Region:
     return Region("repro/noise/program.py", name, "CACHE_SCHEMA_VERSION", _KERNEL_INVARIANT)
+
+
+def _program(name: str) -> Region:
+    return Region("repro/noise/program.py", name, "CACHE_SCHEMA_VERSION", _PROGRAM_INVARIANT)
 
 
 def _replay(name: str) -> Region:
@@ -144,6 +154,10 @@ REGIONS: tuple[Region, ...] = (
     _kernel("sample_gate_error"),
     _kernel("_fuse_gate_runs"),
     _kernel("_program_cache_key"),
+    # Program layout (noise/program.py): what the compile cache pickles.
+    _program("_classify"),
+    _program("_Fuser._build"),
+    _program("compile_program"),
     # Draw replay (noise/fastpath.py): record construction and reuse.
     _replay("draw_schedule"),
     _replay("_scan_segment"),

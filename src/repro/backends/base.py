@@ -114,12 +114,14 @@ class ArrayBackend:
         raise NotImplementedError
 
     # -- kernels -----------------------------------------------------------------
-    def take(self, array: Any, indices: Any, out: Any | None = None) -> Any:
-        """Flat gather: ``out[j] = array[indices[j]]`` (1-D operands)."""
-        raise NotImplementedError
-
     def take_batch(self, states: Any, indices: Any, out: Any | None = None) -> Any:
-        """Row-wise gather of a ``(batch, dim)`` block along axis 1."""
+        """Axis-1 gather of a 3-D ``(rows, span, right)`` block.
+
+        ``out[r, j, k] = states[r, indices[j], k]``.  Callers guarantee
+        ``0 <= indices < span`` (kernels range-check their indices once, when
+        they are built), so implementations may skip bounds checks; ``out``,
+        when given, must not overlap ``states``.
+        """
         raise NotImplementedError
 
     def multiply(self, a: Any, b: Any, out: Any | None = None) -> Any:

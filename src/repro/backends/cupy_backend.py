@@ -80,9 +80,6 @@ class CupyBackend(ArrayBackend):
         return self._cp.ascontiguousarray(array)
 
     # -- kernels -----------------------------------------------------------------
-    def take(self, array: Any, indices: Any, out: Any | None = None) -> Any:
-        return self._cp.take(array, indices, out=out)
-
     def take_batch(self, states: Any, indices: Any, out: Any | None = None) -> Any:
         return self._cp.take(states, indices, axis=1, out=out)
 

@@ -64,11 +64,14 @@ class NumpyBackend(ArrayBackend):
         return np.ascontiguousarray(array)
 
     # -- kernels -----------------------------------------------------------------
-    def take(self, array: np.ndarray, indices: np.ndarray, out=None) -> np.ndarray:
-        return np.take(array, indices, out=out)
-
     def take_batch(self, states: np.ndarray, indices: np.ndarray, out=None) -> np.ndarray:
-        return np.take(states, indices, axis=1, out=out)
+        # mode="clip" gathers straight into ``out``; the default mode="raise"
+        # always gathers into a buffer and copies it over.  The indices are in
+        # range by contract, so clipping never fires; an aliased ``out`` would
+        # make numpy buffer again, so it is refused outright.
+        if out is not None and np.may_share_memory(states, out):
+            raise ValueError("take_batch: out must not overlap states")
+        return np.take(states, indices, axis=1, out=out, mode="clip")
 
     def multiply(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         return np.multiply(a, b, out=out)

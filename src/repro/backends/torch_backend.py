@@ -97,9 +97,6 @@ class TorchBackend(ArrayBackend):
         return array.contiguous()
 
     # -- kernels -----------------------------------------------------------------
-    def take(self, array: Any, indices: Any, out: Any | None = None) -> Any:
-        return self._torch.index_select(array, 0, indices, out=out)
-
     def take_batch(self, states: Any, indices: Any, out: Any | None = None) -> Any:
         return self._torch.index_select(states, 1, indices, out=out)
 

@@ -61,7 +61,9 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: changes; old artifacts then miss instead of deserializing garbage.
 #: v2: trajectory programs carry precomputed idle-step tables and the
 #: fusion flag, and the cache gained no-jump fast-path checkpoint records.
-CACHE_SCHEMA_VERSION = 2
+#: v3: gather kernels carry span-local indices (and fused phases) with their
+#: ``(left, span, right)`` view instead of full-register arrays.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default capacity of the in-process LRU front (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256

@@ -38,9 +38,11 @@ Two extensions sit on top of the classification:
   ``{±1, ±i}``; multiplication by those units is exact in IEEE arithmetic),
   so a fused program is bit-for-bit equal to its unfused counterpart.
 
-Gather indices and fused kernels are built on the touched axes only — an
-op's targets, or the union of a run's targets — and expanded to the flat
-full-register arrays once, at the end.
+Gather kernels (perm, monomial, fused) are *span-local*: an index over the
+axes from the lowest to the highest touched device, applied as one axis-1
+``take`` of a ``(batch * left, span, right)`` view.  The take is unbuffered
+(numpy ``mode="clip"``), so each index is range-checked when its kernel is
+built and a gather never writes over its input.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ __all__ = [
     "program_fingerprint",
 ]
 
-#: Largest number of cached full-register gather indices per program (each is
-#: an int32 array of the full Hilbert dimension).  Ops beyond the cap simply
+#: Largest number of perm/monomial gather indices per program (each spans its
+#: op's axes; the Fig. 7 grid needs at most 31).  Ops beyond the cap simply
 #: fall back to the generic kernel — both executors read the same program, so
 #: the fallback cannot introduce a loop/batched divergence.
 _MAX_GATHER_ENTRIES = 256
@@ -83,10 +85,10 @@ _MAX_GATHER_ENTRIES = 256
 #: bit-for-bit identical to the scalar kernel.
 _GENERIC_BATCH_ELEMENT_LIMIT = 1 << 20
 
-#: Largest number of materialized fused kernels per program.  Each fused
-#: kernel owns one full-register gather index (and possibly a full-register
-#: phase array); runs beyond the cap simply stay unfused, which is the same
-#: arithmetic executed in more steps.
+#: Largest number of materialized fused kernels per program (each owns an
+#: index and phases over its run's span; the Fig. 7 grid needs at most 42).
+#: Runs beyond the cap simply stay unfused, which is the same arithmetic
+#: executed in more steps.
 _MAX_FUSED_ENTRIES = 128
 
 #: Unit phases whose complex multiplication is exact in IEEE double
@@ -105,18 +107,29 @@ _EXACT_UNIT_PHASES = (1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j)
 class _Kernel:
     """How to apply one unitary to the register, scalar or batched.
 
-    ``"fused"`` kernels (built by compile-time monomial fusion, never by
-    classification) carry a *flat* full-register gather index and an optional
-    *flat* full-register phase array instead of the broadcast-ready phases of
-    ``"diag"``/``"monomial"``; their ``unitary`` is ``None``.
+    ``reshape`` splits the register into ``(left, span, right)`` around the
+    touched axes; a gather's ``index`` maps the ``span`` axis and its phases
+    broadcast over the register but vary only within the span.  ``"fused"``
+    kernels come from compile-time monomial fusion, never classification,
+    and have no ``unitary``.
     """
 
     kind: str  # "diag" | "perm" | "monomial" | "fused" | "single" | "generic"
     unitary: np.ndarray | None
     targets: tuple[int, ...]
-    index: np.ndarray | None = None  # full-register gather (perm / monomial / fused)
-    phase: np.ndarray | None = None  # phases: broadcast-ready, or flat for "fused"
-    reshape: tuple[int, int, int] | None = None  # (left, d, right) for "single"
+    index: np.ndarray | None = None  # span-local gather (perm / monomial / fused)
+    phase: np.ndarray | None = None  # broadcast-ready phases
+    reshape: tuple[int, int, int] | None = None  # (left, span, right)
+
+
+def _gather_kernel(
+    kind: str, unitary, targets: tuple[int, ...], index: np.ndarray, phase, dims: tuple[int, ...]
+) -> _Kernel:
+    """A gather kernel; the unbuffered apply relies on this range check."""
+    reshape = _span_reshape(targets, dims)
+    if index.shape != reshape[1:2] or index.min() < 0 or index.max() >= reshape[1]:
+        raise ValueError(f"{kind} kernel on {targets}: gather index leaves its span")
+    return _Kernel(kind, unitary, targets, index=index, phase=phase, reshape=reshape)
 
 
 def _monomial_structure(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -129,14 +142,14 @@ def _monomial_structure(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray] | 
     return source, phases
 
 
-def _full_gather_index(
+def _gather_index(
     source: np.ndarray, targets: tuple[int, ...], dims: tuple[int, ...]
 ) -> np.ndarray:
-    """Lift an op-subspace row->column map to a full-register gather index.
+    """Lift an op-subspace row->column map to a gather index over ``dims``.
 
     Returns ``idx`` such that ``out[j] = state[idx[j]]`` implements the
-    permutation part of the monomial on the whole register.  The map is
-    applied on the target axes only: ``arange(total)`` viewed as a
+    permutation part of the monomial on a ``dims``-shaped register.  The map
+    is applied on the target axes only: ``arange(total)`` viewed as a
     ``dims``-shaped tensor, with the target axes moved to the front (in
     ``targets`` order), has its rows gathered by ``source`` and its axes
     moved back, so no per-entry digit arithmetic runs over the register.
@@ -163,18 +176,10 @@ def _phase_broadcast(
     return tensor.reshape(shape)
 
 
-def _flat_phases(
-    phases: np.ndarray, targets: tuple[int, ...], dims: tuple[int, ...]
-) -> np.ndarray:
-    """Per-row phases of ``targets`` as one flat array over the ``dims`` register."""
-    broadcast = _phase_broadcast(phases, targets, dims)
-    return np.ascontiguousarray(np.broadcast_to(broadcast, dims)).reshape(-1)
-
-
-def _single_reshape(target: int, dims: tuple[int, ...]) -> tuple[int, int, int]:
-    left = int(np.prod(dims[:target])) if target else 1
-    right = int(np.prod(dims[target + 1 :])) if target + 1 < len(dims) else 1
-    return left, dims[target], right
+def _span_reshape(targets: tuple[int, ...], dims: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(left, span, right)``: the register split around the touched axes."""
+    lo, hi = min(targets), max(targets) + 1
+    return math.prod(dims[:lo]), math.prod(dims[lo:hi]), math.prod(dims[hi:])
 
 
 def _classify(
@@ -198,18 +203,19 @@ def _classify(
             )
         if gather_budget[0] > 0:
             gather_budget[0] -= 1
-            index = _full_gather_index(source, targets, dims)
-            if pure:
-                return _Kernel("perm", unitary, targets, index=index)
-            return _Kernel(
-                "monomial",
+            lo = min(targets)
+            span_dims = dims[lo : max(targets) + 1]
+            index = _gather_index(source, tuple(t - lo for t in targets), span_dims)
+            return _gather_kernel(
+                "perm" if pure else "monomial",
                 unitary,
                 targets,
-                index=index,
-                phase=_phase_broadcast(phases, targets, dims),
+                index,
+                None if pure else _phase_broadcast(phases, targets, dims),
+                dims,
             )
     if len(targets) == 1:
-        return _Kernel("single", unitary, targets, reshape=_single_reshape(targets[0], dims))
+        return _Kernel("single", unitary, targets, reshape=_span_reshape(targets, dims))
     return _Kernel("generic", unitary, targets)
 
 
@@ -229,6 +235,7 @@ def apply_kernel(
     ``backend`` selects the array library the primitives run on (default:
     the process backend from :func:`repro.backends.get_backend`); the numpy
     backend reproduces the historical hard-coded numpy path bit for bit.
+    Gathers run as the one-row case of :func:`apply_kernel_batch`.
     """
     if backend is None:
         backend = get_backend()
@@ -239,21 +246,9 @@ def apply_kernel(
         return backend.reshape(
             backend.multiply(backend.reshape(state, dims), phase), (-1,)
         )
-    if kernel.kind == "perm":
-        return backend.take(state, backend.constant(kernel.index))
-    if kernel.kind == "monomial":
-        gathered = backend.take(state, backend.constant(kernel.index))
-        return backend.reshape(
-            backend.multiply(
-                backend.reshape(gathered, dims), backend.constant(kernel.phase)
-            ),
-            (-1,),
-        )
-    if kernel.kind == "fused":
-        gathered = backend.take(state, backend.constant(kernel.index))
-        if kernel.phase is None:
-            return gathered
-        return backend.multiply(gathered, backend.constant(kernel.phase))
+    if kernel.index is not None:
+        block = backend.reshape(state, (1, -1))
+        return backend.reshape(apply_kernel_batch(block, kernel, dims, backend=backend), (-1,))
     if kernel.kind == "single":
         left, d, right = kernel.reshape
         return backend.reshape(
@@ -284,17 +279,26 @@ def apply_kernel_batch(
     GEMM falls back to per-row application above a size threshold (below it,
     the batched dense apply performs the identical per-slice GEMM).
 
-    ``out``, when given, is a scratch block of the same shape: kernels that
-    cannot work in place write into it and return it, everything else
-    modifies ``states`` in place and returns it.  Reusing the two blocks
-    avoids re-faulting tens of megabytes of fresh pages on every op, which
-    dominates the wall-clock of large registers.
+    ``out``, when given, is a scratch block of the same shape that must not
+    overlap ``states``: kernels that cannot work in place write into it and
+    return it, everything else modifies ``states`` in place and returns it.
+    Reusing the two blocks avoids re-faulting tens of megabytes of fresh
+    pages on every op, which dominates the wall-clock of large registers.
+    A gather walks its ``(batch * left, span, right)`` view row by row, so
+    it needs no per-row fallback on large blocks.
     """
     if backend is None:
         backend = get_backend()
     batch = states.shape[0]
     elements = batch * states.shape[1]
-    if kernel.kind == "diag":
+    if kernel.kind == "diag" or kernel.index is not None:
+        if kernel.index is not None:
+            if out is None:
+                out = backend.empty_like(states)
+            view = (batch * kernel.reshape[0],) + kernel.reshape[1:]
+            index = backend.constant(kernel.index)
+            backend.take_batch(backend.reshape(states, view), index, out=backend.reshape(out, view))
+            states = out
         if kernel.phase is not None:
             tensor = backend.reshape(states, (batch,) + dims)
             phase = backend.constant(kernel.phase)
@@ -302,29 +306,6 @@ def apply_kernel_batch(
                 tensor, backend.reshape(phase, (1,) + kernel.phase.shape), out=tensor
             )
         return states
-    if kernel.kind in ("perm", "monomial", "fused"):
-        if out is None:
-            out = backend.empty_like(states)
-        index = backend.constant(kernel.index)
-        if elements <= _GENERIC_BATCH_ELEMENT_LIMIT:
-            backend.take_batch(states, index, out=out)
-        else:
-            # Row-wise gathers: a take along axis 1 iterates index-outer /
-            # batch-inner on big blocks, which thrashes the cache.
-            for row in range(batch):
-                backend.take(states[row], index, out=out[row])
-        if kernel.phase is not None:
-            phase = backend.constant(kernel.phase)
-            if kernel.kind == "fused":
-                backend.multiply(
-                    out, backend.reshape(phase, (1, -1)), out=out
-                )
-            else:
-                tensor = backend.reshape(out, (batch,) + dims)
-                backend.multiply(
-                    tensor, backend.reshape(phase, (1,) + kernel.phase.shape), out=tensor
-                )
-        return out
     if kernel.kind == "single":
         left, d, right = kernel.reshape
         if out is None:
@@ -456,7 +437,7 @@ def compile_program(
             idle_ns=idle_ns,
             lambdas=noise_model.idle_decay_probabilities(dim, idle_ns),
             outcomes=[0] + list(range(1, dim)),
-            reshape=_single_reshape(device, dims),
+            reshape=_span_reshape((device,), dims),
         )
 
     for item in schedule:
@@ -608,29 +589,30 @@ class _Fuser:
                 if kernel.phase is not None:
                     phase = kernel.phase if phase is None else phase * kernel.phase
             return _Kernel("diag", None, targets, phase=phase)
-        # Compose on the sub-register of the touched axes, then expand once.
-        # Each sub-register entry goes through the same gathers and complex
-        # multiplies, in the same order, as the full-register entries that
-        # share its digits, so the expanded arrays are the full-register
-        # composition bit for bit.
-        sub_dims = tuple(dims[t] for t in targets)
-        index: np.ndarray | None = None
-        phase: np.ndarray | None = None
+        # Compose over the run's span by gathering: a member's gather applied
+        # to the running index composes the two maps (``index[member]``), and
+        # applied to the running phases carries them to their new positions
+        # before the member's own phases multiply in.  Every entry goes
+        # through the same gathers and complex multiplies, in the same order,
+        # as the sequential per-step application.
+        left, span, right = _span_reshape(targets, dims)
+        lo, hi = targets[0], targets[-1] + 1
+        index = np.arange(span, dtype=np.int32 if span < 2**31 else np.int64)
+        phase = None
         for kernel in members:
-            source, phases = _monomial_structure(kernel.unitary)
-            sub_targets = tuple(targets.index(t) for t in kernel.targets)
             if kernel.index is not None:
-                sub_index = _full_gather_index(source, sub_targets, sub_dims)
-                index = sub_index if index is None else index[sub_index]
+                m_left, m_span, m_right = kernel.reshape
+                shape = (m_left // left, m_span, m_right // right)
+                index = np.take(index.reshape(shape), kernel.index, axis=1).reshape(-1)
                 if phase is not None:
-                    phase = phase[sub_index]
+                    phase = np.take(phase.reshape(shape), kernel.index, axis=1).reshape(-1)
             if kernel.phase is not None:
-                flat = _flat_phases(phases, sub_targets, sub_dims)
+                local = kernel.phase.reshape(kernel.phase.shape[lo:hi])
+                flat = np.broadcast_to(local, dims[lo:hi]).reshape(-1)
                 phase = flat if phase is None else phase * flat
-        index = _full_gather_index(index, targets, dims)
         if phase is not None:
-            phase = _flat_phases(phase, targets, dims)
-        return _Kernel("fused", None, targets, index=index, phase=phase)
+            phase = phase.reshape((1,) * lo + dims[lo:hi] + (1,) * (len(dims) - hi))
+        return _gather_kernel("fused", None, targets, index, phase, dims)
 
 
 def _fuse_gate_runs(

@@ -147,6 +147,30 @@ def test_replay_region_is_guarded(tree: Path) -> None:
     assert "CACHE_SCHEMA_VERSION" in findings[0].message
 
 
+def test_program_layout_regions_are_guarded(tree: Path) -> None:
+    manifest = compute_manifest(tree)
+    edit(tree, KERNEL_FILE, "if gather_budget[0] > 0:", "if gather_budget[0] > 1:")
+    edit(
+        tree,
+        KERNEL_FILE,
+        "phase = flat if phase is None else phase * flat",
+        "phase = flat if phase is None else flat * phase",
+    )
+    edit(
+        tree,
+        KERNEL_FILE,
+        "gather_budget = [_MAX_GATHER_ENTRIES]",
+        "gather_budget = [_MAX_GATHER_ENTRIES + 1]",
+    )
+    findings, _ = check_fingerprints(tree, manifest)
+    assert len(findings) == 3
+    messages = sorted(f.message for f in findings)
+    for name, message in zip(["_Fuser._build", "_classify", "compile_program"], messages):
+        assert name in message
+        assert "CACHE_SCHEMA_VERSION" in message
+        assert "programs of the old layout" in message
+
+
 def test_persisted_result_regions_are_guarded(tree: Path) -> None:
     manifest = compute_manifest(tree)
     edit(tree, PROVIDERS_FILE, '"point-result",', '"point-result-v2",')

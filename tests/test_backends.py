@@ -86,10 +86,6 @@ class _TracingBackend(NumpyBackend):
         super().__init__()
         self.calls = 0
 
-    def take(self, array, indices, out=None):
-        self.calls += 1
-        return super().take(array, indices, out=out)
-
     def take_batch(self, states, indices, out=None):
         self.calls += 1
         return super().take_batch(states, indices, out=out)

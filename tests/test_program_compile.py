@@ -1,14 +1,18 @@
 """Trajectory-program kernel construction against a frozen reference.
 
-``repro.noise.program`` builds gather indices and fused kernels on the op's
-own target axes and expands the result to the full register once.  The
-functions below the "frozen reference" banner are verbatim copies of the
-earlier full-register builders (per-entry digit arithmetic over the whole
-register); do not "fix" or modernise them.  The property tests assert the
-current builders produce the same arrays, dtypes and ``None``-ness, and the
-pinned digests assert that whole compiled programs are byte-identical to
-the ones the reference builders produced, so programs already cached on
-disk under the same ``CACHE_SCHEMA_VERSION`` stay valid.
+``repro.noise.program`` stores each gather kernel's index (and a fused
+kernel's phases) over the span of its touched axes only, and applies it as
+one unbuffered axis-1 ``take``.  The functions below the "frozen reference"
+banner are verbatim copies of the earlier full-register builders (per-entry
+digit arithmetic over the whole register); do not "fix" or modernise them.
+:func:`expand` lifts a span-local kernel back to that full-register layout.
+The property tests assert the expanded arrays equal the reference builders'
+(same values, dtypes and ``None``-ness) and that applying a span-local
+kernel equals a full-register ``np.take`` bit for bit.  The pinned digests
+hash the *expanded* programs, so they assert that compiled programs mean
+exactly what the reference builders' programs meant.  The pickled layout
+did change, which is why ``CACHE_SCHEMA_VERSION`` was bumped: programs
+cached on disk under the old version miss and are rebuilt.
 """
 
 from __future__ import annotations
@@ -22,14 +26,18 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import mini_points
 from repro.experiments.sweep import SweepPoint, _compiled
+from repro.noise import program as program_module
 from repro.noise.model import NoiseModel
 from repro.noise.program import (
+    _GENERIC_BATCH_ELEMENT_LIMIT,
     GateStep,
     _classify,
-    _full_gather_index,
     _Fuser,
+    _gather_index,
     _Kernel,
     _monomial_structure,
+    apply_kernel,
+    apply_kernel_batch,
     compile_program,
 )
 from repro.topology.device import CoherenceModel
@@ -111,6 +119,47 @@ class LegacyFuser:
         return _Kernel("fused", None, targets, index=index, phase=phase)
 
 
+def expand(kernel: _Kernel, dims: tuple[int, ...]) -> _Kernel:
+    """``kernel`` in the full-register layout of the frozen builders.
+
+    A span-local gather index over the ``(left, span, right)`` view becomes
+    the flat index ``l * span * right + index[s] * right + r`` (same dtype),
+    a fused kernel's phases are broadcast over the register and flattened,
+    and ``reshape`` goes back to ``None``.  Other kinds are already in that
+    layout.
+    """
+    if kernel.kind not in ("perm", "monomial", "fused"):
+        return kernel
+    left, span, right = kernel.reshape
+    assert left * span * right == math.prod(dims)
+    index = (
+        np.arange(left, dtype=np.int64)[:, None, None] * (span * right)
+        + kernel.index.astype(np.int64)[None, :, None] * right
+        + np.arange(right, dtype=np.int64)[None, None, :]
+    )
+    phase = kernel.phase
+    if kernel.kind == "fused" and phase is not None:
+        phase = np.broadcast_to(phase, dims).reshape(-1)
+    return _Kernel(
+        kernel.kind,
+        kernel.unitary,
+        kernel.targets,
+        index=index.reshape(-1).astype(kernel.index.dtype),
+        phase=phase,
+    )
+
+
+def legacy_apply(state: np.ndarray, kernel: _Kernel, dims: tuple[int, ...]) -> np.ndarray:
+    """One row through the expanded kernel: full-register take, then phases."""
+    full = expand(kernel, dims)
+    gathered = np.take(state, full.index)
+    if full.phase is None:
+        return gathered
+    if full.kind == "fused":
+        return gathered * full.phase
+    return (gathered.reshape(dims) * full.phase).reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -176,7 +225,7 @@ class TestGatherIndex:
         size = math.prod(dims[t] for t in targets)
         source = np.array(data.draw(st.permutations(range(size))), dtype=np.int64)
         assert_same_array(
-            _full_gather_index(source, targets, dims),
+            _gather_index(source, targets, dims),
             legacy_full_gather_index(source, targets, dims),
         )
 
@@ -189,6 +238,9 @@ class TestGatherIndex:
         unitary[np.arange(4), source] = phases
         kernel = _classify(unitary, (target,), dims, [1])
         assert kernel.kind == "monomial"
+        assert kernel.reshape == (4**target, 4, 4 ** (8 - target))
+        assert kernel.index.shape == (4,)
+        kernel = expand(kernel, dims)
         assert_same_array(kernel.index, legacy_full_gather_index(source, (target,), dims))
         assert kernel.index.dtype == np.int32
         expected_phase = np.ones([4 if axis == target else 1 for axis in range(9)], complex)
@@ -239,13 +291,86 @@ class TestFusedBuild:
         for position in range(count):
             unitary, targets = data.draw(monomial_ops(dims, inexact=position == inexact_at))
             members.append(_classify(unitary, targets, dims, [1]))
-        actual = _Fuser(dims)._build(members)
-        expected = LegacyFuser(dims)._build(members)
+        actual = expand(_Fuser(dims)._build(members), dims)
+        expected = LegacyFuser(dims)._build([expand(kernel, dims) for kernel in members])
         assert actual.kind == expected.kind
         assert actual.targets == expected.targets
         assert actual.unitary is None and expected.unitary is None
         assert_same_array(actual.index, expected.index)
         assert_same_array(actual.phase, expected.phase)
+
+
+def random_states(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    return rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+
+
+def assert_applies_like_full_take(kernel: _Kernel, dims: tuple[int, ...], rows: int) -> None:
+    """Span-local scalar and batched apply equal the full-register take."""
+    rng = np.random.default_rng(rows)
+    states = random_states(rng, rows, math.prod(dims))
+    expected = np.stack([legacy_apply(row, kernel, dims) for row in states])
+    for row, want in zip(states, expected):
+        got = apply_kernel(row, kernel, dims)
+        assert got.tobytes() == want.tobytes()
+    block = apply_kernel_batch(states.copy(), kernel, dims, out=np.empty_like(states))
+    assert block.tobytes() == expected.tobytes()
+
+
+class TestSpanLocalApply:
+    @settings(max_examples=100, deadline=None)
+    @given(dims=registers, data=st.data())
+    def test_matches_full_register_take(self, dims, data):
+        count = data.draw(st.integers(2, 4))
+        inexact_at = data.draw(st.integers(-1, count - 1))
+        members = []
+        for position in range(count):
+            unitary, targets = data.draw(monomial_ops(dims, inexact=position == inexact_at))
+            members.append(_classify(unitary, targets, dims, [1]))
+        kernels = [kernel for kernel in members if kernel.index is not None]
+        fused = _Fuser(dims)._build(members)
+        if fused.kind == "fused":
+            kernels.append(fused)
+        for kernel in kernels:
+            assert_applies_like_full_take(kernel, dims, rows=3)
+
+    @pytest.mark.parametrize("targets", [(0, 1), (1, 3), (3, 1), (4,), (0, 4), (4, 2, 0)])
+    def test_adjacent_far_and_last_axis_targets(self, targets):
+        # One block above the element limit, where single/generic kernels go
+        # row by row: a gather stays one take at any size.
+        dims = (4, 2, 4, 2, 4)
+        rng = np.random.default_rng(sum(targets))
+        size = math.prod(dims[t] for t in targets)
+        unitary = np.zeros((size, size), dtype=np.complex128)
+        unitary[np.arange(size), rng.permutation(size)] = EXACT_UNITS[rng.integers(0, 4, size)]
+        kernel = _classify(unitary, targets, dims, [1])
+        assert kernel.kind in ("perm", "monomial")
+        rows = _GENERIC_BATCH_ELEMENT_LIMIT // math.prod(dims) + 1
+        assert_applies_like_full_take(kernel, dims, rows=rows)
+
+    @pytest.mark.parametrize("corrupt", ["past_end", "negative"])
+    def test_corrupted_span_index_is_rejected_at_compile_time(self, monkeypatch, corrupt):
+        build = program_module._gather_index
+
+        def corrupted(source, targets, dims):
+            index = build(source, targets, dims).copy()
+            index[-1] = index.size if corrupt == "past_end" else -1
+            return index
+
+        monkeypatch.setattr(program_module, "_gather_index", corrupted)
+        unitary = np.eye(4, dtype=np.complex128)[[1, 0, 3, 2]]
+        with pytest.raises(ValueError, match="span"):
+            _classify(unitary, (2, 0), (2, 4, 2), [1])
+
+    def test_gather_out_must_not_overlap_states(self):
+        dims = (4, 4)
+        unitary = np.eye(4, dtype=np.complex128)[[1, 2, 3, 0]]
+        kernel = _classify(unitary, (1,), dims, [1])
+        states = random_states(np.random.default_rng(0), 2, 16)
+        with pytest.raises(ValueError, match="overlap"):
+            apply_kernel_batch(states, kernel, dims, out=states)
+        pair = np.empty((3, 16), dtype=np.complex128)
+        with pytest.raises(ValueError, match="overlap"):
+            apply_kernel_batch(pair[:2], kernel, dims, out=pair[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +393,7 @@ def program_digest(programs) -> str:
     for program in programs:
         for step in list(program.steps) + list(program.ideal_steps):
             if isinstance(step, GateStep):
-                kernel = step.kernel
+                kernel = expand(step.kernel, program.dims)
                 digest.update(f"gate:{kernel.kind}:{kernel.targets}:{kernel.reshape};".encode())
                 for array in (kernel.index, kernel.phase, kernel.unitary):
                     _feed_array(digest, array)
@@ -290,7 +415,8 @@ def _programs(points, fuse: bool):
     return programs
 
 
-#: Digests of the programs the frozen full-register builders produced.
+#: Digests of the programs the frozen full-register builders produced (the
+#: span-local programs are hashed through :func:`expand`).
 PINNED_DIGESTS = {
     ("fig7-mini", True): "bae9f441d95a079ce075421f93b8bf486000db3f7916b9bd1a8107bc3611f30c",
     ("fig7-mini", False): "2ca27b196b2127f6ae556ae171feeb4e7e0b6896c2054949cee006d06e5ffcaa",

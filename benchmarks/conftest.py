@@ -10,19 +10,11 @@ place (:func:`parse_speedup_gate`) so every benchmark validates them the
 same way:
 
 * ``REPRO_SPEEDUP_GATE`` — minimum batched-vs-seed speedup of the Figure 7
-  sweep (default 4.0: the sweep now runs the no-jump fast path by default,
-  and this benchmark's single cold pass includes first-run record
-  construction — the warm trajectory is gated separately by
-  ``REPRO_FASTPATH_SPEEDUP_GATE``; CI relaxes it for noisy shared runners),
+  sweep (default 4.0, one cold pass of the default pipeline; CI relaxes it
+  for noisy shared runners),
 * ``REPRO_PARALLEL_SPEEDUP_GATE`` — minimum multi-core-vs-single-core
   speedup of the trajectory runner (default 2.0 on machines with >= 4 CPUs,
   0.0 — report-only — below that, where the parallelism has nothing to win),
-* ``REPRO_FASTPATH_SPEEDUP_GATE`` — minimum warm-record fast-path speedup
-  over the PR 2 baseline engine on the Figure 7 paper-regime points
-  (default 2.0 for the aggregate, whose deviating tail is irreducible
-  suffix replay; the simulation-dominant points measure >= 3x and the
-  per-point numbers ship in ``BENCH_trajectory_fastpath.json``; CI relaxes
-  the gate further for noisy shared runners),
 * ``REPRO_ADAPTIVE_SPEEDUP_GATE`` — minimum adaptive-vs-fixed-count speedup
   to reach the same statistical error on the Figure 7 paper-regime points
   (default 2.0: the importance-sampled estimator needs several times fewer
@@ -76,10 +68,7 @@ def once():
 def speedup_gate() -> float:
     """Figure 7 batched-vs-seed pipeline gate (``REPRO_SPEEDUP_GATE``).
 
-    Default 4.0: the contender is one cold pass of the default pipeline,
-    which since the fast path became the default includes building the
-    no-jump records a repeated run would replay (the warm steady state has
-    its own gate in ``benchmarks/test_trajectory_fastpath.py``).
+    Default 4.0: the contender is one cold pass of the default pipeline.
     """
     return parse_speedup_gate("REPRO_SPEEDUP_GATE", default=4.0)
 
@@ -94,19 +83,6 @@ def parallel_speedup_gate() -> float:
     """
     cpus = os.cpu_count() or 1
     return parse_speedup_gate("REPRO_PARALLEL_SPEEDUP_GATE", default=2.0 if cpus >= 4 else 0.0)
-
-
-@pytest.fixture
-def fastpath_speedup_gate() -> float:
-    """No-jump fast-path gate (``REPRO_FASTPATH_SPEEDUP_GATE``).
-
-    Applied to the warm-record pass (checkpoint records on disk and memory,
-    the steady state of repeated sweeps, resumed shards and CI re-runs)
-    over the PR 2 baseline on the paper-regime points; the cold pass and
-    the per-point peaks (>= 3x on the simulation-dominant points) are
-    reported alongside it.
-    """
-    return parse_speedup_gate("REPRO_FASTPATH_SPEEDUP_GATE", default=2.0)
 
 
 @pytest.fixture

@@ -10,10 +10,10 @@ which sit in the mostly-clean-trajectory regime):
 * **adaptive** — ``num_trajectories="auto"`` targeting exactly that
   achieved stderr: first-deviation importance sampling simulates only the
   deviating trajectories of each round (clean rows are scored from the
-  fast-path prescan) and the variance-targeted stopper quits as soon as
+  no-jump prescan) and the variance-targeted stopper quits as soon as
   the running stderr of the stratified estimator clears the target.
 
-Records are warmed first (one untimed pass), timings are best-of-two per
+Each point runs once untimed first, timings are best-of-two per
 point, and the ``REPRO_ADAPTIVE_SPEEDUP_GATE`` gate (default 2.0, 0.0 =
 report-only) applies to the aggregate fixed/adaptive wall-clock ratio.
 The adaptive estimates must converge and land inside the combined
@@ -35,7 +35,6 @@ from repro.core.compile_cache import reset_cache
 from repro.core.compiler import compile_circuit
 from repro.core.strategies import Strategy
 from repro.experiments.sweep import point_seeds
-from repro.noise.fastpath import reset_fastpath
 from repro.noise.model import NoiseModel
 from repro.noise.trajectory import TrajectorySimulator
 from repro.workloads import workload_by_name
@@ -55,7 +54,7 @@ def _label(point) -> str:
 
 
 def _fixed_run(physical, seed):
-    simulator = TrajectorySimulator(NoiseModel(), rng=seed, fastpath=True)
+    simulator = TrajectorySimulator(NoiseModel(), rng=seed)
     start = time.perf_counter()
     result = simulator.average_fidelity(
         physical, num_trajectories=NUM_FIXED, batch_size=BATCH_SIZE
@@ -64,7 +63,7 @@ def _fixed_run(physical, seed):
 
 
 def _adaptive_run(physical, seed, target):
-    simulator = TrajectorySimulator(NoiseModel(), rng=seed, fastpath=True)
+    simulator = TrajectorySimulator(NoiseModel(), rng=seed)
     start = time.perf_counter()
     result = simulator.average_fidelity(
         physical,
@@ -85,18 +84,16 @@ def _adaptive_pass(physicals, targets):
 def test_adaptive_sampling_speedup(
     once, benchmark, adaptive_speedup_gate, bench_artifact_dir, tmp_path, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "record-cache"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     reset_cache()
-    reset_fastpath()
     seeds = point_seeds(0, len(POINTS))
     physicals = [
         ((point, seed), compile_circuit(workload_by_name(point[0], point[1]), point[2]).physical_circuit)
         for point, seed in zip(POINTS, seeds)
     ]
 
-    # Warm-up: build the no-jump records both contenders replay, so the
-    # comparison measures sampling strategy rather than first-run
-    # record construction.
+    # Warm-up: one untimed fixed pass per point, so program compilation
+    # stays out of the timings.
     for (point, seed), physical in physicals:
         _fixed_run(physical, seed)
 
@@ -185,7 +182,6 @@ def test_adaptive_sampling_speedup(
         print(f"  artifact: {path}")
 
     reset_cache()
-    reset_fastpath()
     if adaptive_speedup_gate > 0:
         assert speedup >= adaptive_speedup_gate, (
             f"expected >= {adaptive_speedup_gate}x adaptive-vs-fixed speedup at matched "

@@ -1,18 +1,21 @@
 """CI gate: adaptive sampling must be reproducible and statistically honest.
 
 Runs a small adaptive grid (``num_trajectories="auto"`` with an explicit
-``target_stderr``) three times against one ``$REPRO_CACHE_DIR``:
+``target_stderr``) twice against one ``$REPRO_CACHE_DIR``:
 
-1. **serial** — ``SweepRunner(max_workers=1)``, the reference bytes,
-2. **parallel** — ``max_workers=3``: scheduling may fan trajectories or
-   points across processes, the bytes may not move,
-3. **slow path** — ``REPRO_NO_FASTPATH=1``: the prescan is an estimator
-   input rather than an execution mode, so the escape hatch only changes
-   how the deviating trajectories are simulated — bit-identically.
+1. **serial** — ``SweepRunner(max_workers=1)``, the reference bytes: every
+   round's deviating streams resume in process from the prescan's
+   checkpoints,
+2. **parallel** — ``max_workers=3``, with the deviating-subset fan-out
+   floor lowered to one stream, so every subset of two or more deviating
+   streams runs in worker processes through the explicit engine instead.
 
-The check fails unless all three CSV **and** JSON artifacts are
-byte-identical.  It then re-evaluates every point as a plain fixed-count
-run with **10x** the trajectories the adaptive run consumed and requires
+The check fails unless both CSV **and** JSON artifacts are byte-identical,
+the serial pass resumed at least one deviating stream and the parallel
+pass sent at least one of them to the workers, so the diff really compares
+checkpoint resume with the explicit engine.  It then re-evaluates every
+point as a plain fixed-count run with **10x** the trajectories the adaptive
+run consumed and requires
 each adaptive estimate to land within ``z = 3`` combined standard errors
 of that reference — a reproducible-but-wrong estimator fails here.
 
@@ -38,9 +41,10 @@ def main() -> int:
     if not cache_dir:
         print("error: REPRO_CACHE_DIR must be set for the adaptive-equivalence check")
         return 2
-    os.environ.pop("REPRO_NO_FASTPATH", None)
 
     from repro.experiments.sweep import SweepPoint, SweepRunner, evaluate_point, point_seeds
+    from repro.noise import adaptive
+    from repro.noise.fastpath import stats as fastpath_stats
 
     seeds = point_seeds(0, 2)
     points = [
@@ -63,21 +67,26 @@ def main() -> int:
         return runner.run(points), csv_path, json_path
 
     serial, serial_csv, serial_json = run("serial", max_workers=1)
+    serial_resumed = fastpath_stats()["resumed"]
+    adaptive._MIN_DEV_CHUNK = 1
     _, parallel_csv, parallel_json = run("parallel", max_workers=3)
-    os.environ["REPRO_NO_FASTPATH"] = "1"
-    _, slow_csv, slow_json = run("slow", max_workers=1)
-    del os.environ["REPRO_NO_FASTPATH"]
+    parallel_resumed = fastpath_stats()["resumed"] - serial_resumed
 
-    csv_identical = serial_csv.read_bytes() == parallel_csv.read_bytes() == slow_csv.read_bytes()
-    json_identical = (
-        serial_json.read_bytes() == parallel_json.read_bytes() == slow_json.read_bytes()
-    )
+    csv_identical = serial_csv.read_bytes() == parallel_csv.read_bytes()
+    json_identical = serial_json.read_bytes() == parallel_json.read_bytes()
     print(
-        f"serial-vs-parallel-vs-slow identical CSV: {csv_identical}, "
-        f"identical JSON: {json_identical}"
+        f"serial-vs-parallel identical CSV: {csv_identical}, "
+        f"identical JSON: {json_identical}, streams resumed in process: "
+        f"{serial_resumed} serial, {parallel_resumed} parallel"
     )
     if not csv_identical or not json_identical:
-        print("FAIL: adaptive sweep bytes depend on scheduling or the fastpath toggle")
+        print("FAIL: adaptive sweep bytes depend on scheduling")
+        return 1
+    if serial_resumed < 1:
+        print("FAIL: the serial pass resumed no deviating stream; the diff is vacuous")
+        return 1
+    if parallel_resumed >= serial_resumed:
+        print("FAIL: the parallel pass sent no deviating stream to the explicit engine")
         return 1
 
     failures = 0

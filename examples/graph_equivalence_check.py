@@ -44,7 +44,6 @@ def main() -> int:
     from repro.experiments.fidelity_sweep import fidelity_sweep_points
     from repro.experiments.scheduler import named_grid_points
     from repro.experiments.sweep import SweepRunner
-    from repro.noise.fastpath import reset_fastpath
 
     out_dir = Path(tempfile.mkdtemp(prefix="graph-equivalence-"))
     failures = 0
@@ -57,7 +56,6 @@ def main() -> int:
             json_path=out_dir / f"{grid}-direct.json",
         )
         direct.run(points)
-        reset_fastpath()
         graph_runner = SweepRunner(
             max_workers=1,
             csv_path=out_dir / f"{grid}-graph.csv",
@@ -71,7 +69,6 @@ def main() -> int:
             print(f"FAIL: graph-computed {grid} diverged from the direct sweep")
             failures += 1
 
-    reset_fastpath()
     fig7 = fidelity_sweep_points(workloads=("qram",), sizes=(5,), num_trajectories=4, rng=0)
     fig9a = cswap_study_points(sizes=(5,), num_trajectories=4, rng=0)
     graph = build_graph(runner=SweepRunner(max_workers=1))

@@ -2,8 +2,8 @@
 
 The compile cache (``CACHE_SCHEMA_VERSION``) and the lease-job store
 (``SHARD_SCHEMA_VERSION``) persist artifacts whose *meaning* is defined by
-specific code regions: the trajectory kernel arithmetic baked into cached
-no-jump records, the draw-replay order those records assume, the token
+specific code regions: the trajectory kernel arithmetic baked into persisted
+point results, the draw-replay order the adaptive prescan assumes, the token
 functions that build cache keys, and the point identity and job/lease
 layout of scheduled sweeps.  Editing one of those regions without bumping the
 governing schema version silently invalidates every warm artifact — a
@@ -73,8 +73,8 @@ class Region:
 
 
 _KERNEL_INVARIANT = (
-    "kernel arithmetic is baked into cached NoJumpRecord checkpoints keyed "
-    "by CACHE_SCHEMA_VERSION; changing it without a bump lets a warm cache "
+    "kernel arithmetic is baked into persisted point results keyed by "
+    "CACHE_SCHEMA_VERSION; changing it without a bump lets a warm cache "
     "replay stale bits instead of recomputing"
 )
 _PROGRAM_INVARIANT = (
@@ -84,9 +84,10 @@ _PROGRAM_INVARIANT = (
     "a warm cache hand out programs of the old layout"
 )
 _REPLAY_INVARIANT = (
-    "the fast path replays recorded RNG draw schedules; changing draw "
-    "order, record keys or generator cloning without bumping "
-    "CACHE_SCHEMA_VERSION desynchronizes replay from persisted records"
+    "the adaptive prescan replays each trajectory's RNG draw schedule and "
+    "persisted adaptive results bake in its classification; changing draw "
+    "order or generator cloning without bumping CACHE_SCHEMA_VERSION lets "
+    "a warm figure rerun replay stale adaptive results"
 )
 _CACHE_KEY_INVARIANT = (
     "cache keys are the identity of persisted compilation artifacts; "
@@ -158,12 +159,10 @@ REGIONS: tuple[Region, ...] = (
     _program("_classify"),
     _program("_Fuser._build"),
     _program("compile_program"),
-    # Draw replay (noise/fastpath.py): record construction and reuse.
+    # Draw replay (noise/fastpath.py): the adaptive prescan's classification.
     _replay("draw_schedule"),
     _replay("_scan_segment"),
     _replay("_clone_generator"),
-    _replay("_record_key"),
-    _replay("_bundle_key"),
     # Cache keys (core/compile_cache.py): artifact identity.
     _cache_key("fingerprint"),
     _cache_key("circuit_token"),
@@ -186,6 +185,9 @@ REGIONS: tuple[Region, ...] = (
     _result("repro/noise/adaptive.py", "adaptive_average_fidelity"),
     _result("repro/noise/adaptive.py", "stratified_contributions"),
     _result("repro/noise/adaptive.py", "_simulate_deviating"),
+    _result("repro/noise/fastpath.py", "_build_records"),
+    _result("repro/noise/fastpath.py", "_clean_probability"),
+    _result("repro/noise/fastpath.py", "_resume_block"),
     # Point identity (experiments/sweep.py + scheduler.py): resumable sweeps.
     _shard("repro/experiments/sweep.py", "point_key"),
     _shard("repro/experiments/scheduler.py", "point_to_json"),

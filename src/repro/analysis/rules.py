@@ -571,7 +571,7 @@ class RawDurableWriteRule(Rule):
     rule_id = "ENG006"
     title = "raw durable write outside the storage layer"
     invariant = (
-        "durable-I/O unification: every byte the cache, fastpath, "
+        "durable-I/O unification: every byte the cache, "
         "scheduler, serve and artifact layers publish goes through "
         "repro.core.storage (atomic, fault-injectable, retried, "
         "quarantine-aware); a bare write-mode open, os.replace/rename/link "
@@ -583,7 +583,6 @@ class RawDurableWriteRule(Rule):
     #: (mode "a") is the one sanctioned direct open.
     scope = (
         "repro/core/compile_cache.py",
-        "repro/noise/fastpath.py",
         "repro/experiments/",
         "repro/artifacts/",
     )

@@ -5,10 +5,9 @@ the sweep engine's cached ``_compiled`` path (so the compile cache's audit
 log stays the recompilation oracle), and table evaluation goes through
 ``SweepRunner.iter_evaluate`` — the single point-execution engine — or,
 when an ``executor`` is injected, through any fan-out that honours the
-scheduler's landed-row contract.  No-jump fastpath records are not graph
-nodes: each simulated point's evaluation compiles its trajectory program
-and builds, memoizes and publishes the records it replays itself, in
-whichever process runs it.  The graph only decides *what* to evaluate and
+scheduler's landed-row contract.  Each simulated point's evaluation
+compiles its trajectory program and simulates, in whichever process runs
+it.  The graph only decides *what* to evaluate and
 *whether* it already happened — including, with ``$REPRO_CACHE_DIR``, per
 simulated point: the table provider persists each point's trajectory result
 under :func:`point_result_key`, so a warm rerun simulates nothing.
@@ -129,7 +128,7 @@ def _cached_result(cache: Any, key: str) -> Any:
 
     Undeserializable entries are quarantined by the cache itself; one that
     unpickles to anything but a trajectory result is quarantined here with
-    its reason record, exactly like a malformed fast-path bundle.
+    its reason record.
     """
     from repro.noise.trajectory import TrajectoryResult
 

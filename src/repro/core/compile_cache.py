@@ -63,7 +63,10 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: fusion flag, and the cache gained no-jump fast-path checkpoint records.
 #: v3: gather kernels carry span-local indices (and fused phases) with their
 #: ``(left, span, right)`` view instead of full-register arrays.
-CACHE_SCHEMA_VERSION = 3
+#: v4: fixed-count runs always take the explicit engines and adaptive rounds
+#: resume deviating streams from their own prescan records; no no-jump
+#: record is keyed or persisted any more.
+CACHE_SCHEMA_VERSION = 4
 
 #: Default capacity of the in-process LRU front (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256
@@ -296,10 +299,10 @@ class CompileCache:
     def disk_get(self, key: str) -> Any | None:
         """Fetch an artifact from the disk layer only, bypassing the LRU front.
 
-        Large per-trajectory artifacts (the fast path's no-jump checkpoint
-        records) keep their own byte-budgeted memory store; routing them
-        through :meth:`get` would evict compilations from the entry-counted
-        front.  Returns ``None`` without a disk layer.
+        Artifacts with their own in-process memo (artifact-graph nodes,
+        persisted point results) would only evict compilations from the
+        entry-counted front if routed through :meth:`get`.  Returns ``None``
+        without a disk layer.
         """
         if self.directory is None:
             return None

@@ -23,7 +23,6 @@ __all__ = [
     "REGISTRY",
     "knob",
     "knobs",
-    "read_flag",
     "read_float",
     "read_int",
     "read_raw",
@@ -35,7 +34,7 @@ __all__ = [
 class EnvKnob:
     """Declaration of one environment knob.
 
-    ``kind`` is documentation-grade typing (``flag`` / ``int`` / ``float`` /
+    ``kind`` is documentation-grade typing (``int`` / ``float`` /
     ``string`` / ``path``) used by the README table; the typed readers are
     what actually parse values.  ``default`` is the human-readable default
     shown in the table, not necessarily a parseable literal (several knobs
@@ -65,34 +64,7 @@ REGISTRY: tuple[EnvKnob, ...] = (
         name="REPRO_CACHE_DIR",
         kind="path",
         default="unset (in-memory cache only)",
-        description="Shared on-disk compilation/fast-path artifact cache directory.",
-    ),
-    EnvKnob(
-        name="REPRO_NO_FASTPATH",
-        kind="flag",
-        default="unset (fast path on)",
-        description="Escape hatch disabling the checkpointed no-jump fast path process-wide.",
-    ),
-    EnvKnob(
-        name="REPRO_FASTPATH_STRIDE",
-        kind="int",
-        default="auto (≤8 segments, ≥8 steps)",
-        description="Checkpoint stride, in program steps, for no-jump trajectory records.",
-    ),
-    EnvKnob(
-        name="REPRO_FASTPATH_MEMORY_MB",
-        kind="int",
-        default="512",
-        description="In-process no-jump record store budget, in megabytes.",
-    ),
-    EnvKnob(
-        name="REPRO_FASTPATH_MIN_TRAJ",
-        kind="int",
-        default="8",
-        description=(
-            "Minimum trajectories in a fast-path run before no-jump records are "
-            "published to the disk cache (one-shot cold runs skip the write tax)."
-        ),
+        description="Shared on-disk artifact cache directory (compilations, graph nodes, point results).",
     ),
     EnvKnob(
         name="REPRO_ADAPTIVE_ROUND",
@@ -132,12 +104,6 @@ REGISTRY: tuple[EnvKnob, ...] = (
         kind="float",
         default="2.0",
         description="Minimum multi-worker speedup the benchmark gate asserts (0 = report only).",
-    ),
-    EnvKnob(
-        name="REPRO_FASTPATH_SPEEDUP_GATE",
-        kind="float",
-        default="2.0",
-        description="Minimum warm fast-path speedup the benchmark gate asserts (0 = report only).",
     ),
     EnvKnob(
         name="REPRO_BENCH_DIR",
@@ -217,17 +183,6 @@ def read_raw(name: str) -> str | None:
     """
     knob(name)
     return os.environ.get(name)
-
-
-def read_flag(name: str) -> bool:
-    """Parse a boolean knob: set-and-not-falsey means True.
-
-    ``""``, ``"0"``, ``"false"`` and ``"no"`` (any case, surrounding
-    whitespace ignored) are False, matching the historical ``_env_truthy``
-    parsing the equivalence gates rely on.
-    """
-    value = read_raw(name)
-    return bool(value) and value.strip().lower() not in ("", "0", "false", "no")
 
 
 def read_int(name: str) -> int | None:

@@ -1,8 +1,8 @@
 """Unified durable-I/O layer: atomic writes, guarded reads, retry, quarantine.
 
-Before this module, five subsystems (the compile cache, fastpath record
-bundles, the lease coordinator with its manifests/rows, serve job specs and
-artifact-graph persistence) each hand-rolled a tmp-write/rename or
+Before this module, the durable subsystems (the compile cache, the lease
+coordinator with its manifests/rows, serve job specs and artifact-graph
+persistence) each hand-rolled a tmp-write/rename or
 tmp-write/link protocol.  They now share one implementation with three
 properties none of the copies had:
 

@@ -20,19 +20,11 @@ Results are independent of the worker count and of the batch size: each
 point owns a seed, every trajectory draws from its own spawned stream, and
 the batched engine is bit-for-bit equivalent to the loop path.
 
-Simulated points run through the checkpointed no-jump fast path by default
-(:mod:`repro.noise.fastpath`): the deterministic no-jump prefix of each
-trajectory is memoized — and, with ``$REPRO_CACHE_DIR``, persisted next to
-the compilations — so repeated direct ``SweepRunner`` sweeps and resumed
-lease jobs replay records instead of re-evolving statevectors.  The fast
-path is bit-for-bit identical to the explicit engines;
-``REPRO_NO_FASTPATH=1`` is the escape hatch back to them.
-
 The figure drivers go one level further.  They evaluate grids through the
 artifact graph (:mod:`repro.artifacts`), whose table provider persists
 each simulated point's result under ``$REPRO_CACHE_DIR`` and answers a
 warm rerun through :func:`evaluate_point`'s ``simulation`` argument, so
-such a rerun simulates nothing and reads no record.  :class:`SweepRunner`
+such a rerun simulates nothing.  :class:`SweepRunner`
 itself never reads that layer.
 """
 
@@ -101,7 +93,7 @@ class SweepPoint:
     ``REPRO_ADAPTIVE_MAX_TRAJ``).  Adaptive rows carry the extra
     ``n_used`` / ``stderr`` / ``ess`` columns and are reproducible like
     fixed-count rows — same seed and config give identical bytes for any
-    worker count, lease schedule or fastpath toggle.
+    worker count or lease schedule.
     """
 
     workload: str

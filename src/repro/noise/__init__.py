@@ -5,7 +5,7 @@ from repro.noise.channels import (
     qudit_amplitude_damping,
     sample_depolarizing_error,
 )
-from repro.noise.fastpath import fastpath_enabled, reset_fastpath
+from repro.noise.fastpath import reset_fastpath
 from repro.noise.fastpath import stats as fastpath_stats
 from repro.noise.model import NoiseModel
 from repro.noise.trajectory import (
@@ -19,7 +19,6 @@ __all__ = [
     "TrajectoryResult",
     "TrajectorySimulator",
     "depolarizing_operators",
-    "fastpath_enabled",
     "fastpath_stats",
     "qudit_amplitude_damping",
     "reset_fastpath",

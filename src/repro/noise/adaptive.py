@@ -3,7 +3,7 @@
 Requested explicitly via ``average_fidelity(target_stderr=...)`` or
 ``SweepPoint(num_trajectories="auto", target_stderr=...)``, this module
 estimates the mean trajectory fidelity with two cooperating techniques on
-top of the fast path's draw replay (:mod:`repro.noise.fastpath`):
+top of the no-jump draw replay (:mod:`repro.noise.fastpath`):
 
 **Sequential early stopping.**  Trajectories run in deterministic
 fixed-size rounds (``REPRO_ADAPTIVE_ROUND`` draws per round, spawned from
@@ -14,18 +14,20 @@ accumulator (:class:`repro.noise.stats.RunningStats`) decides whether the
 estimator's standard error has reached ``target_stderr``.  Stopping is
 round-granular and the statistic is accumulated in trajectory-index order,
 so the decision — and therefore every reported number — is a pure function
-of the seeded draw sequence: identical for any worker count, lease schedule or
-``REPRO_NO_FASTPATH`` setting.
+of the seeded draw sequence: identical for any worker count, lease schedule
+or batch size.
 
 **First-deviation importance sampling.**  Each round is first classified by
-:func:`~repro.noise.fastpath.prescan_trajectories`: the fast path's replay
+:func:`~repro.noise.fastpath.prescan_trajectories`: the draw replay
 locates every trajectory's first deviation without touching a statevector
 and yields, per trajectory, the *exact* clean-stratum probability ``p_i``
 and the clean fidelity ``F_c,i`` straight from the no-jump record.  Only
-the deviating trajectories are then actually simulated (through the
-standard engines, so their fidelities are the standard values); clean ones
-are served by the record at near-zero cost.  The per-trajectory estimator
-contribution is the stratified form
+the deviating trajectories are then actually simulated — resumed from the
+round's own checkpoints, or through the explicit engine in worker
+processes, bit-identically either way — so their fidelities are the
+standard values; clean ones are served by the record at near-zero cost.
+The round's records are dropped when the round ends.  The per-trajectory
+estimator contribution is the stratified form
 
     ``g_i = p_i * F_c,i + (1 - p_i) * c  +  [deviated] * (F_i - c)``
 
@@ -66,6 +68,7 @@ from repro.noise.trajectory import TrajectoryResult, _default_state_sampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.physical import PhysicalCircuit
+    from repro.noise.fastpath import Resume
     from repro.noise.trajectory import TrajectorySimulator
 
 __all__ = [
@@ -199,20 +202,25 @@ def _simulate_deviating(
     simulator: "TrajectorySimulator",
     physical: "PhysicalCircuit",
     streams: list[np.random.Generator],
+    resumes: "list[Resume]",
     user_sampler: Callable[[np.random.Generator], np.ndarray] | None,
     sampler: Callable[[np.random.Generator], np.ndarray],
     batch_size: int | None,
     workers: int,
 ) -> list[float]:
-    """Simulate the deviating subset through the standard execution paths.
+    """Simulate the deviating subset, bit-identically to a fixed-count run.
 
-    Exactly mirrors ``average_fidelity``'s dispatch (worker fan-out when it
-    can pay, else the in-process engines), so each returned fidelity is
-    bit-identical to what a fixed-count run computes for the same stream.
+    In process, each stream resumes from its prescan checkpoint
+    (``resumes[j]`` belongs to ``streams[j]``).  When the subset is large
+    enough to give every worker at least ``_MIN_DEV_CHUNK`` streams, it fans
+    out instead and each worker runs the explicit engine.  Either way each
+    returned fidelity is what a fixed-count run computes for the same
+    stream.
     """
     if not streams:
         return []
-    if workers > 1 and len(streams) > 1:
+    fan_out = min(workers, len(streams) // _MIN_DEV_CHUNK)
+    if fan_out > 1:
         from repro.backends import is_registered
         from repro.noise.parallel import run_parallel_fidelities
 
@@ -224,14 +232,23 @@ def _simulate_deviating(
                 streams=streams,
                 sampler=user_sampler,  # None: workers rebuild the default
                 batch_size=batch_size,
-                workers=workers,
+                workers=fan_out,
                 backend=backend_spec,
                 fuse=simulator.fuse,
                 host_memory=simulator.backend.host_memory,
-                fastpath=simulator.fastpath,
-                min_chunk=_MIN_DEV_CHUNK,
             )
-    return simulator._fidelities_for_streams(physical, streams, sampler, batch_size)
+    from repro.noise.fastpath import run_fastpath_fidelities
+
+    return run_fastpath_fidelities(
+        physical,
+        simulator.noise_model,
+        simulator.program_for(physical),
+        simulator.backend,
+        streams,
+        sampler,
+        resumes,
+        block_size=batch_size,
+    )
 
 
 def adaptive_average_fidelity(
@@ -248,18 +265,16 @@ def adaptive_average_fidelity(
 
     Rounds of :func:`adaptive_round_size` streams are spawned from
     ``simulator.rng`` (the same spawn sequence as a fixed-count run),
-    classified by the fast-path prescan, and only the deviating streams are
+    classified by the no-jump prescan, and only the deviating streams are
     simulated.  The run stops at the end of the first round whose
     accumulated standard error reaches ``target_stderr``, or at
     ``max_trajectories`` (default ``REPRO_ADAPTIVE_MAX_TRAJ``), whichever
     comes first — check :attr:`AdaptiveResult.converged`.
 
     The returned numbers are a pure function of the seed and the
-    configuration: identical for any ``workers`` value and either setting of
-    ``REPRO_NO_FASTPATH`` (the prescan is an estimator input, not an
-    execution mode, so the escape hatch only changes how deviating
-    trajectories are simulated — bit-identically, per the standing
-    invariants).
+    configuration: identical for any ``workers`` value (in-process
+    checkpoint resume and the workers' explicit engine agree bit for bit,
+    per the standing invariants).
     """
     import math
 
@@ -307,6 +322,7 @@ def adaptive_average_fidelity(
             simulator,
             physical,
             [streams[int(row)] for row in deviating_rows],
+            prescan.resumes,
             initial_state_sampler,
             sampler,
             batch_size,
@@ -331,6 +347,7 @@ def adaptive_average_fidelity(
             dev_stats.push(float(value))
         n_deviating += len(deviating_fidelities)
         deviation_mass += float(np.sum(1.0 - prescan.clean_probability))
+        del prescan  # the round's no-jump records die with the round
         # Rare-event guard: until a deviating draw has been *observed*, the
         # sample stderr is blind to the deviating stratum (every g_i has
         # effectively assumed F_dev == baseline).  The prescan knows the

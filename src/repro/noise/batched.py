@@ -168,7 +168,8 @@ class BatchedTrajectoryEngine:
     ) -> np.ndarray:
         """Evolve a block through the program's steps ``[start, stop)``.
 
-        This is how the fast path resumes deviating trajectories: whole
+        This is how the adaptive mode resumes deviating trajectories
+        (:func:`repro.noise.fastpath.run_fastpath_fidelities`): whole
         sub-batches restored from a checkpoint re-enter the unmodified
         per-step loop at their first-deviation segment, with each row's live
         stream already advanced to that point (later-deviating sub-batches
@@ -210,35 +211,13 @@ class BatchedTrajectoryEngine:
         self,
         streams: Sequence[np.random.Generator],
         sampler: Callable[[np.random.Generator], np.ndarray],
-        fastpath: bool | None = None,
     ) -> list[float]:
         """Sample one initial state per stream and return per-trajectory fidelities.
 
         Every value consumed from a stream is consumed in the loop path's
         order: first the initial-state draw, then that trajectory's noise
         decisions.
-
-        ``fastpath=None`` honors the process default (the checkpointed
-        no-jump fast path, unless ``REPRO_NO_FASTPATH`` is set); the
-        returned fidelities are bit-for-bit identical either way — only the
-        work changes.  Streams are single-trajectory-use: the fast path
-        replays most decisions on cloned generators, so a live stream's
-        *final position* may differ from the slow path's (a clean
-        trajectory's stream stops right after its state draw).  No caller
-        may draw from a stream after its trajectory finished.
         """
-        from repro.noise.fastpath import fastpath_enabled, run_fastpath_fidelities
-
-        if fastpath_enabled(fastpath):
-            return run_fastpath_fidelities(
-                physical=self.physical,
-                noise_model=self.noise_model,
-                program=self.program,
-                backend=self.backend,
-                streams=list(streams),
-                sampler=sampler,
-                block_size=len(streams) or 1,
-            )
         initials = np.array([sampler(stream) for stream in streams], dtype=np.complex128)
         ideal = self.run_ideal(initials)
         noisy = self.run_trajectories(initials, streams)

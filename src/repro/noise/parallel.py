@@ -3,9 +3,10 @@
 :func:`run_parallel_fidelities` splits a list of pre-spawned per-trajectory
 RNG streams into contiguous chunks and runs each chunk in a worker process
 through :meth:`TrajectorySimulator._fidelities_for_streams` — the exact
-single-core code path.  Because every trajectory consumes only its own
-stream, the concatenated result is bit-for-bit identical to the ``workers=1``
-run for any worker count (enforced by ``tests/test_parallel.py``).
+single-core code path (the explicit loop or batched engine).  Because
+every trajectory consumes only its own stream, the concatenated result is
+bit-for-bit identical to the ``workers=1`` run for any worker count
+(enforced by ``tests/test_parallel.py``).
 
 On platforms with ``fork`` (Linux), workers are forked from the parent, so
 the physical circuit, noise model and compiled constants are inherited as
@@ -15,14 +16,7 @@ is pickled instead (custom samplers must then be picklable; passing
 ``sampler=None`` makes each worker rebuild the default Haar sampler).
 
 Each worker compiles the trajectory program once (in its initializer-built
-simulator) and reuses it for every chunk it processes.  The checkpointed
-no-jump fast path (:mod:`repro.noise.fastpath`) runs inside each worker
-exactly as it does single-process: forked workers inherit the parent's
-compiled program, kernels and any pre-built checkpoint records as read-only
-copy-on-write pages, and with ``$REPRO_CACHE_DIR`` set all workers share
-checkpoint records through the disk layer — again only moving work, never
-bits (``tests/test_fastpath.py`` pins workers-independence with the fast
-path on).
+simulator) and reuses it for every chunk it processes.
 """
 
 from __future__ import annotations
@@ -77,7 +71,6 @@ def _make_context(
     batch_size: int | None,
     backend_spec: tuple[str, dict],
     fuse: bool,
-    fastpath: bool | None = None,
 ) -> dict:
     from repro.backends import build_backend
     from repro.noise.trajectory import TrajectorySimulator, _default_state_sampler
@@ -87,7 +80,6 @@ def _make_context(
         noise_model=noise_model,
         backend=build_backend(name, kwargs),
         fuse=fuse,
-        fastpath=fastpath,
     )
     return {
         "simulator": simulator,
@@ -97,13 +89,9 @@ def _make_context(
     }
 
 
-def _init_worker(
-    physical, noise_model, sampler, batch_size, backend_spec, fuse, fastpath
-) -> None:
+def _init_worker(physical, noise_model, sampler, batch_size, backend_spec, fuse) -> None:
     global _WORKER
-    _WORKER = _make_context(
-        physical, noise_model, sampler, batch_size, backend_spec, fuse, fastpath
-    )
+    _WORKER = _make_context(physical, noise_model, sampler, batch_size, backend_spec, fuse)
 
 
 def _run_chunk(task: tuple[int, list[np.random.Generator]]) -> tuple[int, list[float]]:
@@ -135,8 +123,6 @@ def run_parallel_fidelities(
     backend: str | tuple[str, dict] = "numpy",
     fuse: bool = True,
     host_memory: bool = True,
-    fastpath: bool | None = None,
-    min_chunk: int = 1,
 ) -> list[float]:
     """Per-trajectory fidelities of ``streams``, fanned across processes.
 
@@ -146,29 +132,18 @@ def run_parallel_fidelities(
     ``host_memory=False`` for accelerator backends so workers spawn instead
     of forking an initialized device context.  Results come back in stream
     order regardless of which worker finished first.
-
-    ``min_chunk`` caps the fan-out so each worker gets at least that many
-    streams (small batches — e.g. the adaptive mode's deviating subsets —
-    are not worth one-trajectory chunks).  It only trims the worker count;
-    chunking stays contiguous, so results are byte-identical either way.
     """
-    if min_chunk < 1:
-        raise ValueError("min_chunk must be at least 1")
     streams = list(streams)
     backend_spec = (backend, {}) if isinstance(backend, str) else backend
     workers = min(resolve_workers(workers), len(streams))
-    if min_chunk > 1:
-        workers = min(workers, max(1, len(streams) // min_chunk))
     if workers <= 1:
-        context = _make_context(
-            physical, noise_model, sampler, batch_size, backend_spec, fuse, fastpath
-        )
+        context = _make_context(physical, noise_model, sampler, batch_size, backend_spec, fuse)
         return context["simulator"]._fidelities_for_streams(
             context["physical"], streams, context["sampler"], context["batch_size"]
         )
     chunks = split_chunks(len(streams), workers)
     tasks = [(start, streams[start:stop]) for start, stop in chunks]
-    payload = (physical, noise_model, sampler, batch_size, backend_spec, fuse, fastpath)
+    payload = (physical, noise_model, sampler, batch_size, backend_spec, fuse)
     by_start: dict[int, list[float]] = {}
     # repro-lint: disable=ENG001 -- trajectory-level fan-out engine: SweepRunner delegates per-point trajectory work here; results are stream-ordered, so worker count never changes bytes
     with ProcessPoolExecutor(

@@ -713,7 +713,7 @@ def idle_no_jump_terms(
     ``u * total < p0`` — the identical float comparisons the scalar walk
     performs, so replaying recorded populations against a trajectory's
     uniforms reproduces its decisions bit for bit.  This is the per-step
-    reference of the replay arithmetic; the fast path's segment scan
+    reference of the replay arithmetic; the adaptive prescan's segment scan
     (``repro.noise.fastpath._scan_segment``) repeats it with an event axis
     and zero-padded levels — change both together.
     """

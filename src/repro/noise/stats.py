@@ -9,7 +9,7 @@ narrow band near 1.0, exactly the regime where the naive
 The adaptive estimator (:mod:`repro.noise.adaptive`) pushes one value per
 trajectory **in trajectory-index order**, so the accumulated mean and
 standard error are a pure function of the seeded draw sequence — identical
-for any worker count, lease schedule or fastpath toggle.  :meth:`merge` exists
+for any worker count or lease schedule.  :meth:`merge` exists
 for pairwise combination of independently accumulated partitions (and is
 pinned by property tests against ``numpy.var``); the sequential path does
 not use it, keeping the stopping statistic order-exact.

@@ -84,10 +84,6 @@ class TrajectorySimulator:
     instance, see :mod:`repro.backends`; default honors ``$REPRO_BACKEND``).
     ``fuse=False`` disables compile-time monomial fusion — results are
     bit-for-bit identical either way, the knob exists for A/B testing.
-    ``fastpath`` controls the checkpointed no-jump fast path
-    (:mod:`repro.noise.fastpath`): ``None`` (the default) enables it unless
-    ``REPRO_NO_FASTPATH`` is set; like ``fuse`` it never changes a single
-    bit of the results, only the work performed.
     """
 
     def __init__(
@@ -96,13 +92,11 @@ class TrajectorySimulator:
         rng: np.random.Generator | int | None = None,
         backend: ArrayBackend | str | None = None,
         fuse: bool = True,
-        fastpath: bool | None = None,
     ):
         self.noise_model = noise_model or NoiseModel()
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.backend = resolve_backend(backend)
         self.fuse = fuse
-        self.fastpath = fastpath
         self._programs: dict[tuple[int, int, bool], TrajectoryProgram] = {}
 
     # -- program compilation ----------------------------------------------------------
@@ -213,7 +207,7 @@ class TrajectorySimulator:
         (``num_trajectories="auto"`` uses ``REPRO_ADAPTIVE_MAX_TRAJ``).  The
         returned :class:`~repro.noise.adaptive.AdaptiveResult` is
         reproducible like the fixed-count path — same seed and config give
-        identical numbers for any worker count or fastpath setting — but is
+        identical numbers for any worker count — but is
         a *statistical estimator*, not the plain trajectory mean.
         """
         if target_stderr is not None or num_trajectories == "auto":
@@ -280,7 +274,6 @@ class TrajectorySimulator:
                     backend=backend_spec,
                     fuse=self.fuse,
                     host_memory=self.backend.host_memory,
-                    fastpath=self.fastpath,
                 )
                 return TrajectoryResult(fidelities=fidelities)
         sampler = initial_state_sampler or _default_state_sampler(physical)
@@ -300,25 +293,7 @@ class TrajectorySimulator:
         This is the common core of the single-core path and of every worker
         of the multi-core runner: one stream in, one fidelity out, with the
         stream consumed identically on the loop and batched paths.
-
-        With the fast path enabled (the default) both modes route through
-        :func:`repro.noise.fastpath.run_fastpath_fidelities` — the loop mode
-        as blocks of one statevector, preserving its memory profile — and
-        return bit-for-bit the same fidelities as the explicit evolutions
-        below.
         """
-        from repro.noise.fastpath import fastpath_enabled, run_fastpath_fidelities
-
-        if fastpath_enabled(self.fastpath):
-            return run_fastpath_fidelities(
-                physical=physical,
-                noise_model=self.noise_model,
-                program=self.program_for(physical),
-                backend=self.backend,
-                streams=list(streams),
-                sampler=sampler,
-                block_size=batch_size,
-            )
         fidelities: list[float] = []
         if batch_size is not None:
             from repro.noise.batched import BatchedTrajectoryEngine
@@ -331,7 +306,7 @@ class TrajectorySimulator:
             )
             for start in range(0, len(streams), batch_size):
                 chunk = streams[start : start + batch_size]
-                fidelities.extend(engine.run_fidelities(chunk, sampler, fastpath=False))
+                fidelities.extend(engine.run_fidelities(chunk, sampler))
             return fidelities
         for stream in streams:
             initial = sampler(stream)

@@ -1,6 +1,6 @@
 """Shared fixtures for the test suite.
 
-The shared ``$REPRO_CACHE_DIR`` fixture and the autouse fastpath-isolation
+The shared ``$REPRO_CACHE_DIR`` fixture and the autouse counter-isolation
 fixture live here and resolve by name as usual; the plain helper
 *functions* several suites used to copy (the compile-log audit reader,
 the Fig. 7 mini-grid builder, the 4-qubit mixed-gate compile helper)
@@ -39,7 +39,7 @@ def shared_cache(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_fastpath():
-    """Isolate the fastpath record store and counters per test."""
+    """Isolate the prescan/resume counters per test."""
     reset_fastpath()
     yield
     reset_fastpath()

@@ -3,7 +3,7 @@ plus first-deviation importance sampling).
 
 Contract under test (ISSUE 8): the mode is opt-in (``target_stderr`` /
 ``num_trajectories="auto"``); its numbers are a pure function of seed and
-config — bit-identical for any worker count and either fastpath setting;
+config — bit-identical for any worker count and batch size;
 the stratified round estimator is exactly unbiased at a fixed round count
 (two-outcome toy algebra plus a paired z-test against the fixed-count run
 on the same streams); and default paths never change: fixed-count rows
@@ -24,7 +24,7 @@ from repro.noise.adaptive import (
     default_max_trajectories,
     stratified_contributions,
 )
-from repro.noise.fastpath import prescan_trajectories, stats
+from repro.noise.fastpath import prescan_trajectories
 from repro.noise.model import NoiseModel
 from repro.noise.trajectory import TrajectorySimulator, _default_state_sampler
 from repro.topology.device import CoherenceModel
@@ -69,18 +69,13 @@ class TestDeterminism:
     def test_bit_identical_across_worker_counts(self):
         assert _same_bits(_run(workers=None), _run(workers=2))
 
-    def test_bit_identical_across_fastpath_toggle(self, monkeypatch):
-        reference = _run()
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert _same_bits(_run(), reference)
-
     def test_bit_identical_across_batch_sizes(self):
         assert _same_bits(_run(batch_size=8), _run(batch_size=3))
 
     def test_prescan_clean_rows_bit_match_standard_simulation(self):
         # The importance sampler serves clean trajectories from the record;
         # those fidelities must be the very bits the standard engines produce
-        # for the same streams (the fast path's bit-for-bit guarantee).
+        # for the same streams.
         simulator = TrajectorySimulator(NoiseModel(), rng=3)
         streams = simulator.rng.spawn(48)
         sampler = _default_state_sampler(PHYSICAL)

@@ -138,13 +138,14 @@ def test_replay_region_is_guarded(tree: Path) -> None:
     edit(
         tree,
         FASTPATH_FILE,
-        "def _bundle_key(keys: Sequence[str]) -> str:",
-        "def _bundle_key(keys: Sequence[str], extra: int = 0) -> str:",
+        "    bit_generator.state = stream.bit_generator.state\n",
+        "    bit_generator.state = dict(stream.bit_generator.state)\n",
     )
     findings, _ = check_fingerprints(tree, manifest)
     assert len(findings) == 1
-    assert "_bundle_key" in findings[0].message
+    assert "_clone_generator" in findings[0].message
     assert "CACHE_SCHEMA_VERSION" in findings[0].message
+    assert "draw schedule" in findings[0].message
 
 
 def test_program_layout_regions_are_guarded(tree: Path) -> None:

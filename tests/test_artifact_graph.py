@@ -4,8 +4,8 @@ The contract (ISSUE 9 acceptance): every figure artifact computed through
 the artifact graph is **byte-identical** to the same grid run directly
 through ``SweepRunner`` — CSV and JSON, cold and warm, in-process or
 drained through the lease scheduler — and shared upstream artifacts
-evaluate at most once, audited through the compile log and the fastpath
-record counters.  With ``$REPRO_CACHE_DIR`` the table provider's per-point
+evaluate at most once, audited through the compile log, compile counts
+and the simulations each point ran.  With ``$REPRO_CACHE_DIR`` the table provider's per-point
 result layer replays each simulated point's result, so a warm rerun
 simulates nothing and still writes the same bytes.
 """
@@ -29,7 +29,6 @@ from repro.experiments.cswap_study import cswap_study_points
 from repro.experiments.fidelity_sweep import fidelity_sweep_points, run_fidelity_sweep
 from repro.experiments.scheduler import named_grid_points
 from repro.experiments.sweep import SweepFailure, SweepPoint, SweepRunner, point_key, sweep_rows
-from repro.noise.fastpath import reset_fastpath
 from repro.noise.trajectory import TrajectorySimulator
 from helpers import compile_log_keys, result_key
 
@@ -52,7 +51,6 @@ def simulations(monkeypatch):
 
 def fresh_process():
     """Drop every in-process front, as a new process on the same cache would see."""
-    reset_fastpath()
     get_cache().clear_memory()
 
 
@@ -77,7 +75,6 @@ class TestByteIdentity:
     def test_mini_figure_artifacts_are_byte_identical(self, grid, tmp_path, shared_cache):
         points = named_grid_points(grid)
         direct, direct_evals = direct_run(points, tmp_path)
-        reset_fastpath()
         graph, graph_evals = graph_run(points, tmp_path, name=grid)
         assert graph.csv_path.read_bytes() == direct.csv_path.read_bytes()
         assert graph.json_path.read_bytes() == direct.json_path.read_bytes()
@@ -101,14 +98,12 @@ class TestByteIdentity:
         points = fidelity_sweep_points(
             workloads=("cnu",), sizes=(5,), num_trajectories=3, rng=0
         )
-        reset_fastpath()
         direct, direct_evals = direct_run(points, tmp_path)
         assert sweep_rows(points, evaluations) == sweep_rows(points, direct_evals)
 
     def test_scheduler_executor_is_byte_identical(self, tmp_path, shared_cache):
         points = named_grid_points("fig7-mini")
         direct, _ = direct_run(points, tmp_path)
-        reset_fastpath()
         executor = scheduler_table_executor(tmp_path / "jobs", num_workers=2)
         graph, rows = graph_run(points, tmp_path, name="fig7", executor=executor)
         assert graph.csv_path.read_bytes() == direct.csv_path.read_bytes()
@@ -117,7 +112,9 @@ class TestByteIdentity:
 
 
 class TestAtMostOnceAcrossFigures:
-    def test_cross_figure_dedupe_of_shared_compilations(self, tmp_path, shared_cache):
+    def test_cross_figure_dedupe_of_shared_compilations(
+        self, tmp_path, shared_cache, simulations
+    ):
         # Fig. 7 and Fig. 9a restricted to qram-5 share 4 of their 6+7
         # strategies: one graph computing both tables must compile the 9
         # unique combinations exactly once each.
@@ -142,12 +139,10 @@ class TestAtMostOnceAcrossFigures:
         # appear exactly once across both figures.
         log_keys = compile_log_keys(shared_cache)
         assert len(log_keys) == len(set(log_keys)) > 0
-        # Every record was built exactly once, during table evaluation: a
-        # point both tables share replays the first table's records from the
-        # shared store.
+        # Every point was simulated exactly once, during table evaluation: a
+        # point both tables share is not simulated again.
         simulated = {point_key(point) for point in [*fig7, *fig9a] if point.num_trajectories}
-        stats = fastpath_mod.stats()
-        assert stats["records_built"] == 4 * len(simulated)
+        assert len(simulations) == len(simulated)
 
     def test_identical_tables_under_different_labels_evaluate_once(
         self, tmp_path, shared_cache
@@ -174,8 +169,8 @@ class TestOncePerPoint:
         yield
         reset_cache()
 
-    def test_cold_run_compiles_each_program_and_builds_each_record_once(
-        self, tmp_path, monkeypatch, memory_only_cache
+    def test_cold_run_compiles_and_simulates_each_point_once(
+        self, tmp_path, monkeypatch, memory_only_cache, simulations
     ):
         compiles = []
         compile_program = program_mod.compile_program
@@ -190,16 +185,19 @@ class TestOncePerPoint:
         assert simulated
         graph_run(points, tmp_path, name="fig7-mini")
         assert len(compiles) == len(simulated)
-        stats = fastpath_mod.stats()
-        assert stats["records_built"] == sum(p.num_trajectories for p in simulated)
-        assert stats["prescanned"] == 0
+        assert len(simulations) == len(simulated)
+        # Fixed-count points run the explicit engines: no no-jump record.
+        assert fastpath_mod.stats()["records_built"] == 0
 
-    def test_pooled_table_leaves_all_record_work_to_the_workers(self, tmp_path, shared_cache):
+    def test_pooled_table_leaves_all_simulation_to_the_workers(
+        self, tmp_path, shared_cache, simulations
+    ):
         points = named_grid_points("fig7-mini")
         # The direct run publishes no point results, so the pooled table
-        # below is cold and its workers do every point's record work.
+        # below is cold and its workers simulate every point.
         serial, _ = direct_run(points, tmp_path, label="serial")
-        reset_fastpath()
+        assert len(simulations) == sum(1 for p in points if p.num_trajectories)
+        del simulations[:]
         pooled = SweepRunner(
             max_workers=2,
             csv_path=tmp_path / "pooled.csv",
@@ -208,13 +206,11 @@ class TestOncePerPoint:
         compute_table(points, pooled, name="fig7-mini")
         assert pooled.csv_path.read_bytes() == serial.csv_path.read_bytes()
         assert pooled.json_path.read_bytes() == serial.json_path.read_bytes()
-        stats = fastpath_mod.stats()
-        assert stats["prescanned"] == 0
-        assert stats["records_built"] == 0
+        assert simulations == [], "the parent process simulated a point"
 
 
 class TestWarmCacheReplay:
-    def test_second_compute_recompiles_and_rerecords_nothing(
+    def test_second_compute_recompiles_and_simulates_nothing(
         self, tmp_path, shared_cache, simulations
     ):
         points = named_grid_points("fig7-mini")
@@ -225,12 +221,11 @@ class TestWarmCacheReplay:
         del simulations[:]
 
         # Simulate a fresh process against the same REPRO_CACHE_DIR: drop
-        # the in-memory cache front and the in-memory record store.
+        # the in-memory cache front.
         fresh_process()
         warm, _ = graph_run(points, tmp_path, label="warm", name="fig7")
         assert compile_log_keys(shared_cache) == cold_keys, "warm compute recompiled"
         assert simulations == [], "warm compute simulated trajectories"
-        assert fastpath_mod.stats()["records_built"] == 0, "warm compute re-recorded"
         assert warm.csv_path.read_bytes() == cold.csv_path.read_bytes()
         assert warm.json_path.read_bytes() == cold.json_path.read_bytes()
 
@@ -292,18 +287,13 @@ class TestPointResultLayer:
         graph_run([changed], tmp_path, label="changed")
         assert len(simulations) == 1, "a changed point was served the base point's result"
 
-    def test_workers_and_the_fastpath_toggle_share_the_key(
-        self, tmp_path, shared_cache, simulations, monkeypatch
-    ):
+    def test_workers_share_the_key(self, tmp_path, shared_cache, simulations):
         base, _ = graph_run([BASE_POINT], tmp_path, label="base")
         del simulations[:]
         fresh_process()
         pooled, _ = graph_run([dataclasses.replace(BASE_POINT, workers=2)], tmp_path, "pooled")
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        slow, _ = graph_run([BASE_POINT], tmp_path, label="slow")
         assert simulations == []
         assert pooled.csv_path.read_bytes() == base.csv_path.read_bytes()
-        assert slow.csv_path.read_bytes() == base.csv_path.read_bytes()
 
     def test_adaptive_round_size_enters_only_adaptive_keys(
         self, tmp_path, shared_cache, simulations, monkeypatch

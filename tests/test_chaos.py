@@ -1,7 +1,7 @@
 """Crash-consistency property harness over the durable-storage layer.
 
 The property: for every injected crash/fault point during a durable
-operation (cache put, record-bundle publish, manifest write, lease
+operation (cache put, disk-only publish, manifest write, lease
 claim/reclaim, point-result publish and read), a rerun after the crash
 converges to output **byte identical** to a fault-free run — with corrupt artifacts quarantined
 (reason-recorded), never honoured and never silently deleted.
@@ -29,7 +29,6 @@ from repro.core import storage
 from repro.core.compile_cache import CompileCache, get_cache
 from repro.experiments.scheduler import LeaseCoordinator, WorkerManifest, plan_job, save_job
 from repro.experiments.sweep import SweepRunner
-from repro.noise.fastpath import get_record_store, reset_fastpath
 from helpers import mini_points, result_key
 
 
@@ -132,25 +131,9 @@ class TestRecordBundleCrashConsistency:
 
         assert enumerate_crashes(operation, recover) >= 2
 
-    def test_non_dict_bundle_is_quarantined_on_read(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.core.compile_cache import get_cache, reset_cache
-
-        reset_cache()
-        bundle_key = "feed" * 16
-        get_cache().disk_put(bundle_key, ["not", "a", "record", "dict"])
-        found = get_record_store().get_many(["k1"], bundle_key, None, 0)
-        assert found == {}
-        quarantined = tmp_path / "quarantine" / f"{bundle_key}.pkl"
-        assert quarantined.exists()
-        reason = json.loads(quarantined.with_name(f"{bundle_key}.pkl.reason.json").read_text())
-        assert "record dict" in reason["reason"]
-        reset_cache()
-
 
 def table_bytes(points, out_dir, tag):
     """Compute ``points`` as a graph table from a fresh-process state; CSV+JSON bytes."""
-    reset_fastpath()
     get_cache().clear_memory()
     runner = SweepRunner(
         max_workers=1, csv_path=out_dir / f"{tag}.csv", json_path=out_dir / f"{tag}.json"

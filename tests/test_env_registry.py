@@ -19,7 +19,7 @@ def test_registry_is_unique_and_well_formed() -> None:
     assert len(names) == len(set(names))
     for knob in env.knobs():
         assert knob.name.startswith("REPRO_")
-        assert knob.kind in ("flag", "int", "float", "string", "path")
+        assert knob.kind in ("int", "float", "string", "path")
         assert knob.description
         assert knob.default
 
@@ -40,40 +40,16 @@ def test_read_raw_mirrors_environ(monkeypatch: pytest.MonkeyPatch) -> None:
     assert env.read_raw("REPRO_BACKEND") == "torch"
 
 
-@pytest.mark.parametrize(
-    ("value", "expected"),
-    [
-        (None, False),
-        ("", False),
-        ("0", False),
-        ("false", False),
-        ("FALSE", False),
-        ("no", False),
-        ("  no  ", False),
-        ("1", True),
-        ("true", True),
-        ("yes", True),
-        ("anything", True),
-    ],
-)
-def test_read_flag_truthiness(monkeypatch: pytest.MonkeyPatch, value: str | None, expected: bool) -> None:
-    if value is None:
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", value)
-    assert env.read_flag("REPRO_NO_FASTPATH") is expected
-
-
 def test_read_int(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.delenv("REPRO_FASTPATH_STRIDE", raising=False)
-    assert env.read_int("REPRO_FASTPATH_STRIDE") is None
-    monkeypatch.setenv("REPRO_FASTPATH_STRIDE", "  ")
-    assert env.read_int("REPRO_FASTPATH_STRIDE") is None
-    monkeypatch.setenv("REPRO_FASTPATH_STRIDE", "7")
-    assert env.read_int("REPRO_FASTPATH_STRIDE") == 7
-    monkeypatch.setenv("REPRO_FASTPATH_STRIDE", "seven")
+    monkeypatch.delenv("REPRO_ADAPTIVE_ROUND", raising=False)
+    assert env.read_int("REPRO_ADAPTIVE_ROUND") is None
+    monkeypatch.setenv("REPRO_ADAPTIVE_ROUND", "  ")
+    assert env.read_int("REPRO_ADAPTIVE_ROUND") is None
+    monkeypatch.setenv("REPRO_ADAPTIVE_ROUND", "7")
+    assert env.read_int("REPRO_ADAPTIVE_ROUND") == 7
+    monkeypatch.setenv("REPRO_ADAPTIVE_ROUND", "seven")
     with pytest.raises(ValueError):
-        env.read_int("REPRO_FASTPATH_STRIDE")
+        env.read_int("REPRO_ADAPTIVE_ROUND")
 
 
 def test_read_float(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -11,9 +11,12 @@ keep their exact keys and the estimators are only imported lazily
 (machine-checked by rule STAT001).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.noise.fastpath as fastpath_mod
 from repro.core.compiler import compile_circuit
 from repro.core.strategies import Strategy
 from repro.experiments.scheduler import point_from_json, point_to_json
@@ -71,6 +74,13 @@ class TestDeterminism:
 
     def test_bit_identical_across_batch_sizes(self):
         assert _same_bits(_run(batch_size=8), _run(batch_size=3))
+
+    @pytest.mark.parametrize("segments", (1, 3, 64))
+    def test_bit_identical_across_checkpoint_strides(self, segments):
+        # The stride only moves resume points; the numbers never change.
+        reference = _run()
+        with mock.patch.object(fastpath_mod, "_DEFAULT_SEGMENTS", segments):
+            assert _same_bits(_run(), reference)
 
     def test_prescan_clean_rows_bit_match_standard_simulation(self):
         # The importance sampler serves clean trajectories from the record;

@@ -31,6 +31,24 @@ def test_unregistered_knob_is_rejected() -> None:
         env.knob("PATH")
 
 
+#: Knobs of the deleted no-jump record store and fixed-count fast path.
+REMOVED_KNOBS = (
+    "REPRO_NO_FASTPATH",
+    "REPRO_FASTPATH_STRIDE",
+    "REPRO_FASTPATH_MEMORY_MB",
+    "REPRO_FASTPATH_MIN_TRAJ",
+    "REPRO_FASTPATH_SPEEDUP_GATE",
+)
+
+
+@pytest.mark.parametrize("name", REMOVED_KNOBS)
+def test_removed_knob_is_rejected(monkeypatch: pytest.MonkeyPatch, name: str) -> None:
+    monkeypatch.setenv(name, "1")
+    with pytest.raises(KeyError, match="not a registered"):
+        env.read_raw(name)
+    assert name not in env.render_markdown_table()
+
+
 def test_read_raw_mirrors_environ(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert env.read_raw("REPRO_BACKEND") is None

@@ -14,6 +14,7 @@ counterparts element for element, the stateless draw replay reproduces
 and generator cloning via ``bit_generator.state`` is an exact snapshot.
 """
 
+import dataclasses
 import gc
 from unittest import mock
 
@@ -23,8 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 import repro.noise.fastpath as fastpath_mod
 from repro.circuits.circuit import QuantumCircuit
+from repro.core.compile_cache import reset_cache
 from repro.core.compiler import compile_circuit
 from repro.core.strategies import Strategy
+from repro.experiments import sweep as sweep_mod
+from repro.experiments.fidelity_sweep import fidelity_sweep_points
+from repro.experiments.scheduler import LeasedWorker, job_status, merge_job, plan_job, save_job
+from repro.experiments.sweep import SweepRunner
 from repro.noise.batched import BatchedTrajectoryEngine
 from repro.noise.fastpath import (
     NoJumpRecord,
@@ -34,6 +40,7 @@ from repro.noise.fastpath import (
     stats,
 )
 from repro.noise.model import NoiseModel
+from repro.noise.parallel import run_parallel_fidelities
 from repro.noise.program import (
     GateStep,
     IdleStep,
@@ -64,19 +71,19 @@ def _physical(workload="mixed", strategy=Strategy.MIXED_RADIX_CCZ):
     return mixed_physical(f"fastpath-{workload}", strategy=strategy)
 
 
-def _explicit(physical, model, seed, count, batch_size=None, fuse=True):
+def _explicit(physical, model, seed, count, batch_size=None, fuse=True, sampler=None):
     """Per-stream fidelities of the explicit engine (the reference)."""
     simulator = TrajectorySimulator(model, rng=seed, fuse=fuse)
     streams = simulator.rng.spawn(count)
-    sampler = _default_state_sampler(physical)
+    sampler = sampler or _default_state_sampler(physical)
     return simulator._fidelities_for_streams(physical, streams, sampler, batch_size)
 
 
-def _prescan_resume(physical, model, seed, count, batch_size=None, fuse=True):
+def _prescan_resume(physical, model, seed, count, batch_size=None, fuse=True, sampler=None):
     """Per-stream fidelities of prescan + resume, and the prescan itself."""
     simulator = TrajectorySimulator(model, rng=seed, fuse=fuse)
     streams = simulator.rng.spawn(count)
-    sampler = _default_state_sampler(physical)
+    sampler = sampler or _default_state_sampler(physical)
     program = simulator.program_for(physical)
     prescan = prescan_trajectories(
         physical, model, program, simulator.backend, streams, sampler, block_size=batch_size
@@ -257,13 +264,18 @@ class TestRecordProperty:
         assert checkpoint_stride(10) == 8
         assert checkpoint_stride(1000) == 125
 
+    def test_stride_ignores_the_removed_env_knob(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FASTPATH_STRIDE", "5")
+        assert checkpoint_stride(100) == 13
+        assert checkpoint_stride(1000) == 125
+
 
 # ---------------------------------------------------------------------------
 # prescan + resume == explicit engine, bit for bit
 # ---------------------------------------------------------------------------
 
 
-class TestPrescanResumeEquality:
+class TestFastpathEquality:
     @given(
         seed=st.integers(0, 2**16),
         strategy=st.sampled_from(
@@ -303,6 +315,84 @@ class TestPrescanResumeEquality:
         assert fidelities == reference
         assert stats()["resumed"] == len(prescan.resumes)
 
+    @pytest.mark.parametrize("noise", ("paper", "jumpy"))
+    @pytest.mark.parametrize("batch_size", (None, 3, 16))
+    def test_fastpath_matches_slow_loop(self, noise, batch_size):
+        physical = _physical()
+        model = MODELS[noise]
+        reference = _explicit(physical, model, 42, 12)
+        fidelities, prescan = _prescan_resume(physical, model, 42, 12, batch_size)
+        assert fidelities == reference
+        snapshot = stats()
+        assert snapshot["trajectories"] == snapshot["records_built"] == 12
+        assert snapshot["resumed"] == len(prescan.resumes) == 12 - snapshot["clean"]
+
+    @pytest.mark.parametrize("strategy", (Strategy.QUBIT_ONLY, Strategy.FULL_QUQUART))
+    def test_fastpath_across_regimes(self, strategy):
+        physical = _physical(strategy=strategy)
+        reference = _explicit(physical, NoiseModel(), 5, 8, batch_size=4)
+        fidelities, _ = _prescan_resume(physical, NoiseModel(), 5, 8, batch_size=4)
+        assert fidelities == reference
+
+    def test_fastpath_with_workers_matches_single_core(self):
+        # Deviating streams that fan out to workers run the explicit engine;
+        # in process they resume from their checkpoints.  Same bits.
+        physical = _physical()
+        resumed, prescan = _prescan_resume(physical, JUMPY, 9, 10, batch_size=4)
+        deviating = np.flatnonzero(~prescan.clean)
+        assert len(deviating) >= 2
+        streams = TrajectorySimulator(JUMPY, rng=9).rng.spawn(10)
+        fanned = run_parallel_fidelities(
+            physical=physical,
+            noise_model=JUMPY,
+            streams=[streams[row] for row in deviating],
+            sampler=None,
+            batch_size=4,
+            workers=2,
+        )
+        assert fanned == [resumed[row] for row in deviating]
+
+    def test_fastpath_fused_equals_unfused(self):
+        physical = _physical()
+        fused, _ = _prescan_resume(physical, NoiseModel(), 3, 8, batch_size=4, fuse=True)
+        unfused, _ = _prescan_resume(physical, NoiseModel(), 3, 8, batch_size=4, fuse=False)
+        assert fused == unfused
+        assert unfused == _explicit(physical, NoiseModel(), 3, 8, batch_size=4, fuse=False)
+
+    @pytest.mark.parametrize("seed", (21, 22))
+    def test_fastpath_on_random_circuits(self, seed):
+        circuit = random_logical_circuit(seed, num_qubits=4, num_gates=14)
+        physical = compile_circuit(circuit, Strategy.MIXED_RADIX_CCZ).physical_circuit
+        reference = _explicit(physical, NoiseModel(), seed, 6, batch_size=3)
+        fidelities, _ = _prescan_resume(physical, NoiseModel(), seed, 6, batch_size=3)
+        assert fidelities == reference
+
+    def test_custom_fixed_state_sampler(self):
+        # The standard MCWF case: every trajectory starts from one state.
+        # Records are still built per stream and never shared.
+        physical = _physical()
+        state = haar_random_state(physical.device_dims, np.random.default_rng(0))
+
+        def fixed_sampler(rng):
+            return state
+
+        reference = _explicit(physical, JUMPY, 2, 8, sampler=fixed_sampler)
+        fidelities, prescan = _prescan_resume(
+            physical, JUMPY, 2, 8, batch_size=4, sampler=fixed_sampler
+        )
+        assert fidelities == reference
+        assert prescan.resumes
+        assert stats()["records_built"] == 8
+        assert stats()["record_memory_hits"] == 0
+
+    @pytest.mark.parametrize("segments", (1, 3, 8, 64))
+    def test_stride_change_still_bitwise_equal(self, segments):
+        physical = _physical()
+        reference = _explicit(physical, JUMPY, 13, 6)
+        with mock.patch.object(fastpath_mod, "_DEFAULT_SEGMENTS", segments):
+            fidelities, _ = _prescan_resume(physical, JUMPY, 13, 6, batch_size=3)
+        assert fidelities == reference
+
     def test_noiseless_model_is_all_clean(self):
         physical = _physical()
         model = NoiseModel.noiseless()
@@ -340,10 +430,13 @@ class TestPrescanResumeEquality:
 
 
 class TestRecordLifetime:
-    def test_fixed_count_runs_build_no_records(self):
+    @pytest.mark.parametrize(
+        ("batch_size", "workers"), ((None, None), (3, None), (3, 2)), ids=("loop", "batched", "workers")
+    )
+    def test_fixed_count_runs_build_no_records(self, batch_size, workers):
         physical = _physical()
         TrajectorySimulator(JUMPY, rng=2).average_fidelity(
-            physical, num_trajectories=6, batch_size=3
+            physical, num_trajectories=6, batch_size=batch_size, workers=workers
         )
         assert stats()["records_built"] == 0
         assert _live_records() == 0
@@ -357,3 +450,132 @@ class TestRecordLifetime:
         assert stats()["records_built"] == result.n_used
         assert stats()["record_memory_hits"] == stats()["record_disk_hits"] == 0
         assert _live_records() == 0
+
+    def test_records_never_touch_compile_log(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        reset_cache()
+        physical = _physical()
+        assert cached_compile_program(physical, NoiseModel()) is not None
+        cache_dir = tmp_path / "cache"
+        log = cache_dir / "compile-log.txt"
+
+        def snapshot():
+            lines = len(log.read_text().splitlines()) if log.exists() else 0
+            return lines, sorted(str(path) for path in cache_dir.rglob("*"))
+
+        before = snapshot()
+        result = TrajectorySimulator(NoiseModel(), rng=1).average_fidelity(
+            physical, num_trajectories=16, target_stderr=1e-6, batch_size=4
+        )
+        assert result.n_deviating > 0
+        assert snapshot() == before  # no log line, no file: records stay in memory
+        reset_cache()
+
+
+# ---------------------------------------------------------------------------
+# the frozen perf harness: patch points and counter names
+# ---------------------------------------------------------------------------
+
+#: The counters ``perfbench/spans.py`` reads from :func:`stats`.
+HARNESS_KEYS = (
+    "trajectories",
+    "clean",
+    "records_built",
+    "record_memory_hits",
+    "record_disk_hits",
+    "suffix_steps",
+    "prefix_steps_reused",
+)
+
+
+def _adaptive_run(seed=4):
+    return TrajectorySimulator(NoiseModel(), rng=seed).average_fidelity(
+        _physical(), num_trajectories=16, target_stderr=1e-6, batch_size=4
+    )
+
+
+class TestHarnessContract:
+    @pytest.mark.parametrize("key", HARNESS_KEYS)
+    def test_stats_keeps_the_harness_keys(self, key):
+        assert stats()[key] == 0
+        result = _adaptive_run()
+        value = stats()[key]
+        assert isinstance(value, int)
+        if key in ("record_memory_hits", "record_disk_hits"):
+            assert value == 0  # records are never looked up
+        elif key in ("trajectories", "records_built"):
+            assert value == result.n_used
+
+    @pytest.mark.parametrize("name", ("prescan_trajectories", "run_fastpath_fidelities"))
+    def test_adaptive_runs_call_through_the_module_attribute(self, name):
+        # The harness times these two by patching the module attribute.
+        original = getattr(fastpath_mod, name)
+        with mock.patch.object(fastpath_mod, name, wraps=original) as spy:
+            result = _adaptive_run()
+        assert result.n_deviating > 0
+        assert spy.call_count >= 1
+
+
+# ---------------------------------------------------------------------------
+# sweep integration: adaptive points prescan, a reclaimed lease converges
+# ---------------------------------------------------------------------------
+
+
+def _cnu_points(count, num_trajectories, target_stderr=None):
+    points = fidelity_sweep_points(
+        workloads=("cnu",), sizes=(5,), num_trajectories=num_trajectories, rng=0
+    )[:count]
+    return [dataclasses.replace(point, target_stderr=target_stderr) for point in points]
+
+
+class TestSweepIntegration:
+    @pytest.mark.parametrize("adaptive", (False, True), ids=("fixed", "adaptive"))
+    def test_sweep_point_prescans_only_when_adaptive(self, adaptive):
+        (point,) = _cnu_points(1, 4, target_stderr=1e-6 if adaptive else None)
+        sweep_mod.evaluate_point(point)
+        snapshot = stats()
+        if adaptive:
+            assert snapshot["trajectories"] == snapshot["records_built"] > 0
+        else:
+            assert snapshot["trajectories"] == snapshot["records_built"] == 0
+
+    def test_abandoned_lease_is_reclaimed_with_adaptive_points(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        reset_cache()
+        points = _cnu_points(4, 8, target_stderr=1e-6)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        unsharded_csv = out_dir / "unsharded.csv"
+        SweepRunner(max_workers=1, csv_path=unsharded_csv).run(points)
+
+        directory = tmp_path / "job"
+        save_job(plan_job(points), directory)
+        now = [1000.0]
+
+        def worker(worker_id, **kwargs):
+            return LeasedWorker(
+                directory,
+                worker_id=worker_id,
+                runner=SweepRunner(max_workers=1),
+                ttl=10.0,
+                clock=lambda: now[0],
+                heartbeat=False,
+                **kwargs,
+            )
+
+        # The first worker dies holding its third lease, like a SIGKILL.
+        assert worker("killed", abandon_after=2).run().abandoned
+
+        # Its lease expires and a fresh host drains the job from the disk
+        # layer alone; no record survives the crash to be reused.
+        now[0] += 10.1
+        reset_cache()
+        report = worker("drainer").run()
+        assert report.num_completed == 2
+        assert job_status(directory, clock=lambda: now[0])["reclaimed"] == 1
+        assert stats()["record_disk_hits"] == 0
+        assert _live_records() == 0
+
+        merged = merge_job(directory)
+        assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
+        reset_cache()

@@ -235,7 +235,7 @@ def test_fig7_size9_mixed_point_reference(once, benchmark):
     new_seconds = time.perf_counter() - start
     print(
         f"\nqram-9 MIXED_RADIX_CCZ (4 trajectories): seed {baseline_seconds:.2f} s, "
-        f"compiled-program loop {new_seconds:.2f} s "
+        f"one-row engine blocks {new_seconds:.2f} s "
         f"({baseline_seconds / max(new_seconds, 1e-9):.1f}x; memory-bandwidth-bound)"
     )
     assert new_seconds < baseline_seconds

@@ -151,7 +151,6 @@ REGIONS: tuple[Region, ...] = (
     _kernel("no_jump_scales_batch"),
     _kernel("draw_idle_choice"),
     _kernel("jump_scale"),
-    _kernel("apply_idle_scalar"),
     _kernel("sample_gate_error"),
     _kernel("_fuse_gate_runs"),
     _kernel("_program_cache_key"),

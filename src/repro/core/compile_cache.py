@@ -66,7 +66,10 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: v4: fixed-count runs always take the explicit engines and adaptive rounds
 #: resume deviating streams from their own prescan records; no no-jump
 #: record is keyed or persisted any more.
-CACHE_SCHEMA_VERSION = 4
+#: v5: fixed-count runs with ``batch_size=None`` run one-row engine blocks
+#: (the scalar loop is gone), and idle populations of large rows are
+#: contracted row by row, so results no longer depend on the block size.
+CACHE_SCHEMA_VERSION = 5
 
 #: Default capacity of the in-process LRU front (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256

@@ -97,7 +97,7 @@ REGISTRY: tuple[EnvKnob, ...] = (
         name="REPRO_SPEEDUP_GATE",
         kind="float",
         default="4.0",
-        description="Minimum batched-vs-loop speedup the benchmark gate asserts (0 = report only).",
+        description="Minimum speedup of the batched sweep over the seed-style pipeline the Fig. 7 benchmark gate asserts (0 = report only).",
     ),
     EnvKnob(
         name="REPRO_PARALLEL_SPEEDUP_GATE",

@@ -80,7 +80,7 @@ def evaluate_strategy(
     ``num_trajectories = 0`` skips the trajectory simulation and relies on
     the EPS estimate alone — the same fall-back the paper uses for circuit
     sizes beyond its simulation memory budget.  ``batch_size`` is forwarded
-    to :meth:`TrajectorySimulator.average_fidelity` (``None``: loop path).
+    to :meth:`TrajectorySimulator.average_fidelity` (``None``: one-row blocks).
     """
     coherence = coherence or CoherenceModel()
     gate_set = GateSet(error_model=error_model)

@@ -18,7 +18,7 @@ one engine:
 
 Results are independent of the worker count and of the batch size: each
 point owns a seed, every trajectory draws from its own spawned stream, and
-the batched engine is bit-for-bit equivalent to the loop path.
+every block size of the trajectory engine gives the same bits.
 
 The figure drivers go one level further.  They evaluate grids through the
 artifact graph (:mod:`repro.artifacts`), whose table provider persists
@@ -71,8 +71,8 @@ __all__ = [
 #: Trajectories per vectorized block handed to the batched engine.
 DEFAULT_BATCH_SIZE = 16
 
-#: Hilbert dimension above which "auto" batching falls back to the loop
-#: path: huge statevectors are memory-bandwidth-bound, so vectorizing across
+#: Hilbert dimension above which "auto" batching falls back to one-row
+#: blocks: huge statevectors are memory-bandwidth-bound, so vectorizing across
 #: trajectories stops paying (the result is identical either way).
 _AUTO_BATCH_DIM_LIMIT = 1 << 16
 

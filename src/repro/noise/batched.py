@@ -1,18 +1,24 @@
 """Vectorized trajectory engine: evolve a ``(batch, dim)`` block at once.
 
-The engine executes the same compiled :class:`~repro.noise.program.TrajectoryProgram`
-as the sequential loop simulator, but applies every kernel to a whole block
-of statevectors: one gather / broadcast multiply / einsum / GEMM per
-scheduled event instead of one per event per trajectory.  Stochastic noise
-decisions are drawn per trajectory from per-trajectory RNG streams, then
-trajectories are grouped by outcome so the (almost always unanimous)
-no-jump damping update is still a single fused multiply across the batch.
+This is the one trajectory engine: fixed-count runs
+(:meth:`~repro.noise.trajectory.TrajectorySimulator.average_fidelity`, one
+row per block by default), the multi-core workers and the adaptive
+checkpoint resume all step their trajectories through it.  It executes a
+compiled :class:`~repro.noise.program.TrajectoryProgram` and applies every
+kernel to a whole block of statevectors: one gather / broadcast multiply /
+einsum / GEMM per scheduled event instead of one per event per trajectory.
+Stochastic noise decisions are drawn per trajectory from per-trajectory RNG
+streams, then trajectories are grouped by outcome so the (almost always
+unanimous) no-jump damping update is still a single fused multiply across
+the batch.
 
-Because both executors consume the same program and the batched kernels are
-built from the same element-wise operations as their scalar counterparts
-(see :mod:`repro.noise.program`), a batched run is bit-for-bit identical to
-the loop path given the same seed — enforced by
-``tests/test_batched_trajectory.py``.
+Row ``i`` of every batched kernel and idle contraction performs the same
+floating-point operations in the same order whatever the block size (see
+:mod:`repro.noise.program`), so any block size gives the same bits as
+one-row blocks under the same seed — enforced by
+``tests/test_batched_trajectory.py`` against a frozen scalar trajectory
+loop kept in the tests, and by ``tests/test_block_size_invariance.py`` on
+4^9-dimensional registers.
 """
 
 from __future__ import annotations
@@ -74,10 +80,9 @@ class BatchedTrajectoryEngine:
     ) -> np.ndarray:
         batch = states.shape[0]
         left, d, right = step.reshape
-        # One batched contraction replaces the per-row population loop: the
-        # batch axis is outermost, so each row accumulates over the identical
-        # elements in the identical order as the scalar helper (pinned by the
-        # loop-equivalence suite and the fast-path property tests).
+        # Row i of the populations is device_populations of row i, bit for
+        # bit, at any block size (pinned by the block-size invariance suite
+        # and the fast-path property tests).
         populations = device_populations_batch(states, step)
 
         # Per-level scale of each trajectory's update; identity rows (skipped
@@ -214,17 +219,15 @@ class BatchedTrajectoryEngine:
     ) -> list[float]:
         """Sample one initial state per stream and return per-trajectory fidelities.
 
-        Every value consumed from a stream is consumed in the loop path's
-        order: first the initial-state draw, then that trajectory's noise
-        decisions.
+        Each stream is consumed in the same order at any block size: first
+        the initial-state draw, then that trajectory's noise decisions.
         """
         initials = np.array([sampler(stream) for stream in streams], dtype=np.complex128)
         ideal = self.run_ideal(initials)
         noisy = self.run_trajectories(initials, streams)
         # The overlap is taken on fresh copies: BLAS dot products are
         # sensitive to the 64-byte phase of their operands, and row views of
-        # the batch land on varying phases while the loop path always hands
-        # vdot freshly allocated vectors.
+        # the batch land on varying phases depending on the block size.
         return [
             fidelity(np.array(ideal[i]), np.array(noisy[i])) for i in range(len(streams))
         ]

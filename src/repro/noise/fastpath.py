@@ -28,8 +28,9 @@ round:
 
 Resumed fidelities are **bit-for-bit** the explicit engine's for the same
 stream: the no-jump prefix is the same sequence of floating-point kernel
-applications (row ``i`` of every batched kernel is exactly the scalar
-kernel — the standing batched == loop invariant), the replay performs the
+applications (row ``i`` of every batched kernel and idle contraction gives
+the same bits at any block size — the standing block-size invariant), the
+replay performs the
 identical float comparisons on the identical uniforms, and the suffix runs
 the unmodified engine from a bit-identical state and stream position
 (``tests/test_fastpath.py``).
@@ -580,9 +581,9 @@ def run_fastpath_fidelities(
     """Per-trajectory fidelities of prescanned deviating streams, resumed.
 
     ``streams[j]`` is the untouched live stream whose prescan produced
-    ``resumes[j]``.  ``block_size=None`` resumes one statevector at a time
-    (the loop path's memory profile); an integer resumes blocks of that
-    many.  Either way every returned fidelity is bit-for-bit the explicit
+    ``resumes[j]``.  ``block_size=None`` resumes one statevector per block
+    (the memory profile of a one-row fixed-count run); an integer resumes
+    blocks of that many.  Either way every returned fidelity is bit-for-bit the explicit
     engine's value for the same stream.
     """
     from repro.noise.batched import BatchedTrajectoryEngine

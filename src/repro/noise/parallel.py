@@ -3,10 +3,11 @@
 :func:`run_parallel_fidelities` splits a list of pre-spawned per-trajectory
 RNG streams into contiguous chunks and runs each chunk in a worker process
 through :meth:`TrajectorySimulator._fidelities_for_streams` — the exact
-single-core code path (the explicit loop or batched engine).  Because
-every trajectory consumes only its own stream, the concatenated result is
-bit-for-bit identical to the ``workers=1`` run for any worker count
-(enforced by ``tests/test_parallel.py``).
+single-core code path (the batched engine, one row per block unless
+``batch_size`` says otherwise).  Because every trajectory consumes only
+its own stream, the concatenated result is bit-for-bit identical to the
+``workers=1`` run for any worker count (enforced by
+``tests/test_parallel.py``).
 
 On platforms with ``fork`` (Linux), workers are forked from the parent, so
 the physical circuit, noise model and compiled constants are inherited as

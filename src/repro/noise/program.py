@@ -1,8 +1,8 @@
 """Compiled trajectory programs and structured statevector kernels.
 
-The trajectory simulators (the sequential loop in
-:mod:`repro.noise.trajectory` and the vectorized engine in
-:mod:`repro.noise.batched`) share one intermediate representation: a
+The trajectory engine (:mod:`repro.noise.batched`, driven by
+:mod:`repro.noise.trajectory` and the adaptive prescan in
+:mod:`repro.noise.fastpath`) executes one intermediate representation: a
 ``(PhysicalCircuit, NoiseModel)`` pair is *compiled once* into a
 :class:`TrajectoryProgram` — the scheduled op stream flattened into gate and
 idle events, each gate carrying its cached embedded unitary and a structural
@@ -18,15 +18,18 @@ is *monomial* (exactly one nonzero entry per row of the unitary):
 * ``single``   — dense single-device unitary (H, damping Kraus): one einsum,
 * ``generic``  — anything else: transpose + GEMM via ``apply_unitary``.
 
-Every kernel has a scalar (one statevector) and a batched ``(batch, dim)``
-variant built from the *same element-wise operations*, so a batched run
-reproduces the loop run bit for bit when fed the same per-trajectory RNG
-streams.  Because both executors consume the same compiled program, kernel
-selection can never make the two paths disagree.
+The engine applies every kernel to a ``(batch, dim)`` block with
+:func:`apply_kernel_batch`, whose row ``i`` performs the same floating-point
+operations in the same order at every block size, so a run gives the same
+bits for any block size when fed the same per-trajectory RNG streams.  The
+idle contraction :func:`device_populations_batch` keeps the same promise by
+contracting each row on its own.
+:func:`apply_kernel` is the one-statevector reference that the kernel tests
+compare the block kernels against; no engine calls it.
 
 Two extensions sit on top of the classification:
 
-* **backend dispatch** — every array operation of both kernel variants goes
+* **backend dispatch** — every array operation of the kernels goes
   through an :class:`~repro.backends.base.ArrayBackend` (default: the numpy
   reference backend, selected via ``$REPRO_BACKEND``); the numpy backend
   maps each primitive to the identical numpy call, so the default path is
@@ -74,15 +77,15 @@ __all__ = [
 
 #: Largest number of perm/monomial gather indices per program (each spans its
 #: op's axes; the Fig. 7 grid needs at most 31).  Ops beyond the cap simply
-#: fall back to the generic kernel — both executors read the same program, so
-#: the fallback cannot introduce a loop/batched divergence.
+#: fall back to the generic kernel, which gives the same bits at every block
+#: size, so the fallback cannot make block sizes diverge.
 _MAX_GATHER_ENTRIES = 256
 
 #: Above this many elements (batch * hilbert_dim) a generic unitary is
 #: applied row by row instead of through one batched GEMM: the batched
 #: transpose of a huge block is strided across all of it and loses to the
 #: cache-friendly per-row path.  Purely a speed knob — both variants are
-#: bit-for-bit identical to the scalar kernel.
+#: bit-for-bit identical to the one-statevector kernel.
 _GENERIC_BATCH_ELEMENT_LIMIT = 1 << 20
 
 #: Largest number of materialized fused kernels per program (each owns an
@@ -220,7 +223,7 @@ def _classify(
 
 
 # ---------------------------------------------------------------------------
-# kernel application (scalar and batched variants share every element-wise op)
+# kernel application (the one-row reference and the block kernel share every op)
 # ---------------------------------------------------------------------------
 
 
@@ -232,6 +235,8 @@ def apply_kernel(
 ) -> np.ndarray:
     """Apply a classified unitary to one flat statevector.
 
+    This is the one-statevector reference that the kernel tests compare
+    :func:`apply_kernel_batch` against, row by row; no engine calls it.
     ``backend`` selects the array library the primitives run on (default:
     the process backend from :func:`repro.backends.get_backend`); the numpy
     backend reproduces the historical hard-coded numpy path bit for bit.
@@ -407,7 +412,7 @@ def compile_program(
     ``fuse=True`` (the default) collapses runs of consecutive
     diag/perm/monomial kernels into single fused gather-multiplies wherever
     that provably changes no rounding; a fused program is bit-for-bit
-    equivalent to the unfused one on both executors.
+    equivalent to the unfused one at every block size.
     """
     dims = tuple(physical.device_dims)
     program = TrajectoryProgram(physical=physical, noise_model=noise_model, dims=dims, fuse=fuse)
@@ -671,7 +676,7 @@ def _fuse_gate_runs(
 
 
 # ---------------------------------------------------------------------------
-# idle-damping decisions (shared float arithmetic for both executors)
+# idle-damping decisions (per-row float arithmetic of the engine and the prescan)
 # ---------------------------------------------------------------------------
 
 
@@ -680,8 +685,8 @@ def device_populations(state: np.ndarray, step: IdleStep) -> np.ndarray:
 
     The statevector is viewed as interleaved float64 pairs so the squared
     magnitudes and the marginalization fuse into a single contraction (no
-    temporaries); both executors call this same helper, so the summation
-    order is identical on the loop and batched paths.
+    temporaries).  This is the per-row reference of
+    :func:`device_populations_batch`.
     """
     left, d, right = step.reshape
     floats = state.view(np.float64).reshape(left, d, 2 * right)
@@ -689,17 +694,21 @@ def device_populations(state: np.ndarray, step: IdleStep) -> np.ndarray:
 
 
 def device_populations_batch(states: np.ndarray, step: IdleStep) -> np.ndarray:
-    """Per-row level populations of a C-contiguous ``(batch, dim)`` block.
+    """Per-row level populations of a ``(batch, dim)`` block.
 
-    One einsum replaces a Python loop of per-row contractions.  Row ``i`` of
-    the result is bit-for-bit :func:`device_populations` of row ``i``: the
-    batch axis is outermost, so the per-``(row, level)`` accumulation runs
-    over the identical ``(left, right)`` elements in the identical order
-    (asserted by ``tests/test_fastpath.py``).
+    Row ``i`` of the result is bit-for-bit :func:`device_populations` of
+    row ``i``, whatever the block size, because each row is contracted on
+    its own (asserted by ``tests/test_block_size_invariance.py`` and
+    ``tests/test_fastpath.py``).  One einsum over the whole block would not
+    keep that promise: once a row outgrows numpy's 8192-element reduction
+    buffer it can group the sum differently (first seen on 2**15-amplitude
+    rows).  It is not faster either: on 16-row blocks of 4^5 to 4^7
+    amplitudes the row loop takes half its time.
     """
-    left, d, right = step.reshape
-    floats = states.view(np.float64).reshape(states.shape[0], left, d, 2 * right)
-    return np.einsum("bldr,bldr->bd", floats, floats)
+    populations = np.empty((states.shape[0], step.reshape[1]))
+    for row, state in enumerate(states):
+        populations[row] = device_populations(state, step)
+    return populations
 
 
 def idle_no_jump_terms(
@@ -804,29 +813,6 @@ def jump_scale(step: IdleStep, choice: int, populations: np.ndarray) -> float | 
     if norm_sq <= 0.0:
         return None
     return math.sqrt(lam) / math.sqrt(norm_sq)
-
-
-def apply_idle_scalar(
-    state: np.ndarray, step: IdleStep, rng: np.random.Generator
-) -> np.ndarray:
-    """Apply one idle-damping event to one statevector."""
-    populations = device_populations(state, step)
-    choice = draw_idle_choice(step, populations, rng)
-    if choice is None:
-        return state
-    left, d, right = step.reshape
-    tensor = state.reshape(left, d, right)
-    if choice == 0:
-        scales = no_jump_scales(step, populations)
-        if scales is None:
-            return state
-        return (tensor * scales[None, :, None]).reshape(-1)
-    scale = jump_scale(step, choice, populations)
-    if scale is None:
-        return state
-    out = np.zeros_like(tensor)
-    out[:, 0, :] = tensor[:, choice, :] * scale
-    return out.reshape(-1)
 
 
 def sample_gate_error(

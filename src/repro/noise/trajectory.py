@@ -16,12 +16,14 @@ Fidelity is measured against the noise-free evolution of the same physical
 circuit from the same (random) input state, averaged over many random input
 states as in the paper's evaluation.
 
-The simulator executes a compiled :class:`~repro.noise.program.TrajectoryProgram`
-(ops flattened into gate/idle events with structured kernels), built once
-per physical circuit and shared with the vectorized engine in
-:mod:`repro.noise.batched`.  ``average_fidelity(..., batch_size=k)`` runs
-blocks of ``k`` trajectories through that engine and is bit-for-bit
-equivalent to the loop path under the same seed.
+Every trajectory runs through one engine,
+:class:`~repro.noise.batched.BatchedTrajectoryEngine`, which executes a
+compiled :class:`~repro.noise.program.TrajectoryProgram` (ops flattened into
+gate/idle events with structured kernels, built once per physical circuit)
+on a ``(batch, dim)`` block.  ``average_fidelity(..., batch_size=k)`` hands
+it blocks of ``k`` trajectories; the default ``batch_size=None`` runs blocks
+of one.  Every block size gives the same bits as one-row blocks under the
+same seed.
 """
 
 from __future__ import annotations
@@ -38,16 +40,9 @@ from repro.core.compiler import CompilationResult
 from repro.core.encoding import embed_logical_state
 from repro.core.physical import PhysicalCircuit
 from repro.noise.model import NoiseModel
-from repro.noise.program import (
-    GateStep,
-    TrajectoryProgram,
-    apply_idle_scalar,
-    apply_kernel,
-    cached_compile_program,
-    sample_gate_error,
-)
+from repro.noise.batched import BatchedTrajectoryEngine
+from repro.noise.program import TrajectoryProgram, cached_compile_program
 from repro.qudit.random import haar_random_state
-from repro.qudit.states import apply_unitary, fidelity
 
 __all__ = ["TrajectoryResult", "TrajectorySimulator", "simulate_fidelity"]
 
@@ -115,59 +110,6 @@ class TrajectorySimulator:
             self._programs[key] = program
         return program
 
-    # -- noise-free evolution ----------------------------------------------------------
-    def run_ideal(self, physical: PhysicalCircuit, initial_state: np.ndarray) -> np.ndarray:
-        """Evolve ``initial_state`` through the circuit without any noise."""
-        program = self.program_for(physical)
-        backend = self.backend
-        state = np.asarray(initial_state, dtype=np.complex128).copy()
-        if not backend.host_memory:
-            state = backend.asarray(state)
-        for step in program.ideal_steps:
-            state = apply_kernel(state, step.kernel, program.dims, backend=backend)
-        return state if backend.host_memory else backend.to_numpy(state)
-
-    # -- single noisy trajectory ----------------------------------------------------------
-    def run_trajectory(
-        self,
-        physical: PhysicalCircuit,
-        initial_state: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Evolve one noisy trajectory and return the final statevector.
-
-        ``rng`` selects the stream the stochastic decisions are drawn from;
-        it defaults to the simulator's own generator.
-        """
-        rng = rng if rng is not None else self.rng
-        program = self.program_for(physical)
-        backend = self.backend
-        state = np.asarray(initial_state, dtype=np.complex128).copy()
-        if not backend.host_memory:
-            state = backend.asarray(state)
-        for step in program.steps:
-            if isinstance(step, GateStep):
-                state = apply_kernel(state, step.kernel, program.dims, backend=backend)
-                if step.error_dims is not None:
-                    error = sample_gate_error(step, program.dims, rng)
-                    if error is not None:
-                        if backend.host_memory:
-                            state = apply_unitary(state, error, step.op.devices, program.dims)
-                        else:
-                            state = backend.apply_unitary(
-                                state, backend.asarray(error), step.op.devices, program.dims
-                            )
-            elif backend.host_memory:
-                state = apply_idle_scalar(state, step, rng)
-            else:
-                # The idle decision is scalar host arithmetic; round-trip the
-                # vector for it (accelerator backends pay this only on the
-                # rare idle events of the loop path — sweeps use the batched
-                # engine, which amortizes the same crossing over the block).
-                host = apply_idle_scalar(backend.to_numpy(state), step, rng)
-                state = backend.asarray(host)
-        return state if backend.host_memory else backend.to_numpy(state)
-
     # -- fidelity estimation -------------------------------------------------------------------
     def average_fidelity(
         self,
@@ -187,11 +129,11 @@ class TrajectorySimulator:
 
         Every trajectory draws from its own child RNG stream (spawned from
         the simulator's generator), so the result depends only on the seed
-        and the trajectory index.  ``batch_size=None`` evolves one
-        statevector at a time (the loop path); ``batch_size=k`` hands blocks
-        of ``k`` trajectories to the vectorized
-        :class:`~repro.noise.batched.BatchedTrajectoryEngine`, which is
-        bit-for-bit equivalent under the same seed.
+        and the trajectory index.  ``batch_size=k`` hands blocks of ``k``
+        trajectories to the vectorized
+        :class:`~repro.noise.batched.BatchedTrajectoryEngine`;
+        ``batch_size=None`` evolves one statevector per block.  Every block
+        size is bit-for-bit equivalent under the same seed.
 
         ``workers=n`` splits the spawned streams across ``n`` processes
         (``"auto"``: one per CPU).  Each trajectory still consumes exactly
@@ -291,28 +233,20 @@ class TrajectorySimulator:
         """Per-trajectory fidelities of pre-spawned streams (single process).
 
         This is the common core of the single-core path and of every worker
-        of the multi-core runner: one stream in, one fidelity out, with the
-        stream consumed identically on the loop and batched paths.
+        of the multi-core runner: one stream in, one fidelity out.  Streams
+        run through the engine in blocks of ``batch_size`` (``None``: one
+        trajectory per block), and every block size gives the same bits.
         """
+        engine = BatchedTrajectoryEngine(
+            physical,
+            self.noise_model,
+            program=self.program_for(physical),
+            backend=self.backend,
+        )
+        block = batch_size if batch_size is not None else 1
         fidelities: list[float] = []
-        if batch_size is not None:
-            from repro.noise.batched import BatchedTrajectoryEngine
-
-            engine = BatchedTrajectoryEngine(
-                physical,
-                self.noise_model,
-                program=self.program_for(physical),
-                backend=self.backend,
-            )
-            for start in range(0, len(streams), batch_size):
-                chunk = streams[start : start + batch_size]
-                fidelities.extend(engine.run_fidelities(chunk, sampler))
-            return fidelities
-        for stream in streams:
-            initial = sampler(stream)
-            ideal = self.run_ideal(physical, initial)
-            noisy = self.run_trajectory(physical, initial, rng=stream)
-            fidelities.append(fidelity(ideal, noisy))
+        for start in range(0, len(streams), block):
+            fidelities.extend(engine.run_fidelities(streams[start : start + block], sampler))
         return fidelities
 
 

@@ -1,8 +1,9 @@
-"""Equivalence tests: batched trajectory engine vs the sequential loop path.
+"""Equivalence tests: the batched trajectory engine vs a frozen scalar loop.
 
-The batched engine must be *bit-for-bit* interchangeable with the loop
-simulator under a fixed seed: same per-trajectory fidelities for any batch
-size, across all three strategy regimes (qubit / mixed / full).
+The engine must give the *bit-for-bit* same per-trajectory fidelities under
+a fixed seed for any block size, across all three strategy regimes (qubit /
+mixed / full).  The anchor is the one-statevector loop frozen in
+``tests/scalar_trajectory.py``; ``batch_size=None`` runs one-row blocks.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.noise.program import (
 from repro.noise.trajectory import TrajectorySimulator
 from repro.qudit.random import haar_random_state
 from repro.qudit.states import apply_unitary, apply_unitary_batch
+from scalar_trajectory import scalar_fidelities
 
 REGIME_STRATEGIES = (
     Strategy.QUBIT_ONLY,
@@ -113,13 +115,11 @@ class TestTrajectoryEquivalence:
         physical = compiled.physical_circuit
         trajectories = 10
 
-        loop = TrajectorySimulator(NoiseModel(), rng=123).average_fidelity(
-            physical, num_trajectories=trajectories
-        )
+        loop = scalar_fidelities(physical, NoiseModel(), 123, trajectories)
         batched = TrajectorySimulator(NoiseModel(), rng=123).average_fidelity(
             physical, num_trajectories=trajectories, batch_size=batch_size
         )
-        assert batched.fidelities == loop.fidelities
+        assert batched.fidelities == loop
 
     def test_noiseless_batched_matches_ideal(self):
         compiled = compile_circuit(_toffoli_circuit(), Strategy.MIXED_RADIX_CCZ)
@@ -146,7 +146,7 @@ class TestTrajectoryEquivalence:
         """With the gather-index budget exhausted, multi-device monomial ops
         fall back to the generic GEMM kernel; the batched engine must still
         apply them (regression: fresh result arrays were once discarded) and
-        stay bit-for-bit equal to the loop path."""
+        stay bit-for-bit equal to the frozen scalar loop."""
         import repro.noise.program as program_module
 
         monkeypatch.setattr(program_module, "_MAX_GATHER_ENTRIES", 0)
@@ -156,13 +156,12 @@ class TestTrajectoryEquivalence:
         kinds = {step.kernel.kind for step in program.ideal_steps}
         assert "generic" in kinds  # the fallback really is exercised
 
-        loop = TrajectorySimulator(NoiseModel(), rng=5).average_fidelity(
-            physical, num_trajectories=6
-        )
-        batched = TrajectorySimulator(NoiseModel(), rng=5).average_fidelity(
-            physical, num_trajectories=6, batch_size=3
-        )
-        assert batched.fidelities == loop.fidelities
+        loop = scalar_fidelities(physical, NoiseModel(), 5, 6)
+        for batch_size in (None, 3):
+            batched = TrajectorySimulator(NoiseModel(), rng=5).average_fidelity(
+                physical, num_trajectories=6, batch_size=batch_size
+            )
+            assert batched.fidelities == loop
 
     def test_engine_accepts_prebuilt_program(self):
         compiled = compile_circuit(_toffoli_circuit(), Strategy.FULL_QUQUART)
@@ -190,20 +189,21 @@ class TestMonomialFusion:
 
     @pytest.mark.parametrize("strategy", REGIME_STRATEGIES)
     def test_fused_program_bitwise_equal_to_unfused(self, strategy):
-        """Loop and batched fidelities are unchanged by fusion, per regime."""
+        """One-row and 3-row block fidelities are unchanged by fusion, per regime."""
         compiled = compile_circuit(_toffoli_circuit(), strategy)
         physical = compiled.physical_circuit
         unfused = TrajectorySimulator(NoiseModel(), rng=321, fuse=False).average_fidelity(
             physical, num_trajectories=8
         )
-        fused_loop = TrajectorySimulator(NoiseModel(), rng=321, fuse=True).average_fidelity(
+        fused_rows = TrajectorySimulator(NoiseModel(), rng=321, fuse=True).average_fidelity(
             physical, num_trajectories=8
         )
         fused_batched = TrajectorySimulator(NoiseModel(), rng=321, fuse=True).average_fidelity(
             physical, num_trajectories=8, batch_size=3
         )
-        assert fused_loop.fidelities == unfused.fidelities
+        assert fused_rows.fidelities == unfused.fidelities
         assert fused_batched.fidelities == unfused.fidelities
+        assert unfused.fidelities == scalar_fidelities(physical, NoiseModel(), 321, 8, fuse=False)
 
     def test_fusion_merges_ideal_steps(self):
         """The ideal path really shrinks (ROADMAP's 'fuse monomial kernels')."""
@@ -287,10 +287,10 @@ class TestMonomialFusion:
         physical = compiled.physical_circuit
         program = compile_program(physical, NoiseModel(), fuse=True)
         assert all(step.kernel.kind != "fused" for step in program.ideal_steps)
-        loop = TrajectorySimulator(NoiseModel(), rng=9, fuse=False).average_fidelity(
+        unfused = TrajectorySimulator(NoiseModel(), rng=9, fuse=False).average_fidelity(
             physical, num_trajectories=4
         )
         capped = TrajectorySimulator(NoiseModel(), rng=9, fuse=True).average_fidelity(
             physical, num_trajectories=4
         )
-        assert capped.fidelities == loop.fidelities
+        assert capped.fidelities == unfused.fidelities

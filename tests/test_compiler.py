@@ -14,8 +14,8 @@ from repro.core.emitter import CompilationError
 from repro.core.encoding import embed_logical_state, extract_logical_state
 from repro.core.gateset import ErrorModel, GateClass
 from repro.core.strategies import Strategy
+from repro.noise.batched import BatchedTrajectoryEngine
 from repro.noise.model import NoiseModel
-from repro.noise.trajectory import TrajectorySimulator
 from repro.qudit.random import haar_random_state
 from repro.topology.device import Device
 from repro.workloads import cuccaro_adder, generalized_toffoli, qram_circuit
@@ -25,12 +25,12 @@ def assert_compilation_correct(circuit: QuantumCircuit, strategy: Strategy, seed
     """Check the compiled circuit implements the logical circuit exactly."""
     result = compile_circuit(circuit, strategy)
     physical = result.physical_circuit
-    simulator = TrajectorySimulator(NoiseModel.noiseless(), rng=seed)
+    engine = BatchedTrajectoryEngine(physical, NoiseModel.noiseless())
     rng = np.random.default_rng(seed)
     logical_in = haar_random_state(2**circuit.num_qubits, rng)
     expected = circuit.apply_to_state(logical_in)
     physical_in = embed_logical_state(logical_in, result.initial_placement, physical.device_dims)
-    physical_out = simulator.run_ideal(physical, physical_in)
+    (physical_out,) = engine.run_ideal(physical_in[None, :])
     recovered = extract_logical_state(physical_out, result.final_placement, physical.device_dims)
     fidelity = abs(np.vdot(expected, recovered)) ** 2
     assert fidelity == pytest.approx(1.0, abs=1e-9), f"{strategy.name} broke the circuit"

@@ -2,7 +2,7 @@
 
 The contract: prescanning a round of streams and resuming its deviating
 streams from the round's own checkpoints returns, per stream, **bit for
-bit** the fidelity the explicit loop/batched engine computes for that
+bit** the fidelity the explicit engine computes for that
 stream — fused or unfused, at any block size and checkpoint stride, for
 deviations in any segment.  Fixed-count runs never touch this machinery,
 and no no-jump record outlives the call that built it.
@@ -58,6 +58,7 @@ from repro.qudit.random import haar_random_state
 from repro.topology.device import CoherenceModel
 from random_circuits import random_logical_circuit
 from helpers import mixed_physical
+import scalar_trajectory
 
 #: A decohering model whose idle windows jump constantly: trajectories
 #: deviate early and often, exercising checkpoint restores and suffix
@@ -225,8 +226,8 @@ class TestRecordProperty:
         assert stride < len(program.steps)  # the program really has >1 segment
         (record,) = fastpath_mod._build_records(engine, np.array([state]), stride)
 
-        # The record must match a step-by-step recomputation with the scalar
-        # helpers the loop executor uses, over the whole program.
+        # The record must match a step-by-step recomputation with the
+        # one-statevector helpers, over the whole program.
         current = np.asarray(state, dtype=np.complex128).copy()
         idle_ordinal = 0
         for index, step in enumerate(program.steps):
@@ -255,8 +256,8 @@ class TestRecordProperty:
         assert sorted(record.checkpoints) == list(range(stride, len(program.steps), stride))
         assert np.array_equal(record.final, current)
 
-        # The recorded ideal final equals the explicit ideal evolution.
-        ideal = TrajectorySimulator(noise_model).run_ideal(physical, state)
+        # The recorded ideal final equals the frozen scalar ideal evolution.
+        ideal = scalar_trajectory.run_ideal(program, state)
         assert np.array_equal(record.ideal_final, ideal)
 
     def test_default_stride(self):

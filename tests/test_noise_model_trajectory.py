@@ -6,6 +6,7 @@ import pytest
 from repro.core.compiler import compile_circuit
 from repro.core.strategies import Strategy
 from repro.circuits.circuit import QuantumCircuit
+from repro.noise.batched import BatchedTrajectoryEngine
 from repro.noise.model import NoiseModel
 from repro.noise.trajectory import TrajectorySimulator, simulate_fidelity
 from repro.topology.device import CoherenceModel
@@ -47,12 +48,12 @@ class TestTrajectorySimulator:
         return compile_circuit(tiny_ccx_circuit, Strategy.MIXED_RADIX_CCZ)
 
     def test_noiseless_trajectory_matches_ideal(self, compiled):
-        simulator = TrajectorySimulator(NoiseModel.noiseless(), rng=0)
         physical = compiled.physical_circuit
-        initial = np.zeros(np.prod(physical.device_dims), dtype=complex)
-        initial[0] = 1.0
-        ideal = simulator.run_ideal(physical, initial)
-        noisy = simulator.run_trajectory(physical, initial)
+        engine = BatchedTrajectoryEngine(physical, NoiseModel.noiseless())
+        initial = np.zeros((1, np.prod(physical.device_dims)), dtype=complex)
+        initial[0, 0] = 1.0
+        ideal = engine.run_ideal(initial)
+        noisy = engine.run_trajectories(initial, [np.random.default_rng(0)])
         assert np.allclose(ideal, noisy)
 
     def test_noisy_fidelity_below_one_but_reasonable(self, compiled):
@@ -73,11 +74,11 @@ class TestTrajectorySimulator:
         assert noisy_fid < clean_fid
 
     def test_trajectory_preserves_norm(self, compiled):
-        simulator = TrajectorySimulator(NoiseModel(), rng=3)
         physical = compiled.physical_circuit
-        initial = np.zeros(np.prod(physical.device_dims), dtype=complex)
-        initial[0] = 1.0
-        final = simulator.run_trajectory(physical, initial)
+        engine = BatchedTrajectoryEngine(physical, NoiseModel())
+        initial = np.zeros((1, np.prod(physical.device_dims)), dtype=complex)
+        initial[0, 0] = 1.0
+        (final,) = engine.run_trajectories(initial, [np.random.default_rng(3)])
         assert np.linalg.norm(final) == pytest.approx(1.0)
 
     def test_requires_at_least_one_trajectory(self, compiled):

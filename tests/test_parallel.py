@@ -1,7 +1,7 @@
 """Tests for the shared-memory multi-core trajectory runner.
 
 The contract (ISSUE 2 acceptance): ``average_fidelity(batch_size=k,
-workers=n)`` is bit-for-bit equal to the ``workers=1`` loop path under a
+workers=n)`` is bit-for-bit equal to the ``workers=1`` path under a
 fixed seed for n in {1, 2, 4} — the per-trajectory RNG streams make the
 result a pure function of (seed, trajectory index), so worker count and
 chunking only move wall-clock.

@@ -11,7 +11,7 @@ from repro.core.metrics import evaluate_metrics
 from repro.core.physical import Slot
 from repro.core.strategies import Strategy
 from repro.noise.model import NoiseModel
-from repro.noise.trajectory import TrajectorySimulator
+from repro.noise.batched import BatchedTrajectoryEngine
 from repro.qudit.random import haar_random_state
 from repro.qudit.states import apply_unitary, index_to_levels, levels_to_index, state_dimension
 from repro.qudit.unitaries import embed_qubit_unitary, qubit_slots
@@ -107,11 +107,11 @@ class TestCompilerProperties:
     def test_compilation_preserves_semantics(self, circuit, strategy):
         result = compile_circuit(circuit, strategy)
         physical = result.physical_circuit
-        simulator = TrajectorySimulator(NoiseModel.noiseless(), rng=0)
+        engine = BatchedTrajectoryEngine(physical, NoiseModel.noiseless())
         logical_in = haar_random_state(2**circuit.num_qubits, np.random.default_rng(7))
         expected = circuit.apply_to_state(logical_in)
         physical_in = embed_logical_state(logical_in, result.initial_placement, physical.device_dims)
-        physical_out = simulator.run_ideal(physical, physical_in)
+        (physical_out,) = engine.run_ideal(physical_in[None, :])
         recovered = extract_logical_state(physical_out, result.final_placement, physical.device_dims)
         assert abs(np.vdot(expected, recovered)) ** 2 > 1.0 - 1e-9
 

@@ -87,12 +87,8 @@ class Placement:
 
     def qubits_on_device(self, device: int) -> list[int]:
         """Return the logical qubits stored on a device, sorted by slot."""
-        found = [
-            (slot.slot, qubit)
-            for slot, qubit in self._qubit_at.items()
-            if slot.device == device
-        ]
-        return [qubit for _, qubit in sorted(found)]
+        found = (self._qubit_at.get(Slot(device, 0)), self._qubit_at.get(Slot(device, 1)))
+        return [qubit for qubit in found if qubit is not None]
 
     def is_encoded(self, device: int) -> bool:
         """Return True if the device currently stores two logical qubits."""

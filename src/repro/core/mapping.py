@@ -102,21 +102,46 @@ def central_device(device: Device) -> int:
     )
 
 
+def weight_partners(weights: Mapping[tuple[int, int], float]) -> dict[int, list[tuple[int, float]]]:
+    """Return each qubit's nonzero-weight partners as ``(partner, weight)``.
+
+    Every list is in ascending partner order.  Only the sorted keys
+    ``(a, b)`` with ``0 <= a < b`` count, as those are the keys the pair
+    lookups read.  A weighted sum over such a list adds the same nonzero
+    terms, in the same order, as a scan over every qubit in ascending order;
+    the exact-zero terms the scan also adds never change a float sum, so the
+    totals are bit-identical.
+    """
+    partners: dict[int, list[tuple[int, float]]] = defaultdict(list)
+    for (a, b), weight in weights.items():
+        if 0 <= a < b and weight != 0.0:
+            partners[a].append((b, weight))
+            partners[b].append((a, weight))
+    for entries in partners.values():
+        entries.sort(key=lambda entry: entry[0])
+    return dict(partners)
+
+
 def _placement_order(num_qubits: int, weights: Mapping[tuple[int, int], float]) -> list[int]:
     """Return the order in which qubits are placed (most-connected first)."""
-    all_qubits = list(range(num_qubits))
-    remaining = set(all_qubits)
-    first = max(all_qubits, key=lambda q: (total_weight(weights, q, all_qubits), -q))
+    partners = weight_partners(weights)
+    first = max(
+        range(num_qubits),
+        key=lambda q: (sum(w for other, w in partners.get(q, ()) if other < num_qubits), -q),
+    )
     order = [first]
-    remaining.discard(first)
-    while remaining:
-        nxt = max(
-            sorted(remaining),
-            key=lambda q: total_weight(weights, q, order),
-        )
+    # Each unplaced qubit's weights to the placed set, in placement order;
+    # the dict keeps the unplaced qubits in ascending order.
+    to_placed: dict[int, list[float]] = {q: [] for q in range(num_qubits) if q != first}
+    while True:
+        for other, weight in partners.get(order[-1], ()):
+            if other in to_placed:
+                to_placed[other].append(weight)
+        if not to_placed:
+            return order
+        nxt = max(to_placed, key=lambda q: sum(to_placed[q]))
         order.append(nxt)
-        remaining.discard(nxt)
-    return order
+        del to_placed[nxt]
 
 
 def place_one_per_device(
@@ -138,23 +163,25 @@ def place_one_per_device(
     weights = weights if weights is not None else interaction_weights(circuit)
     distances = device.distance_matrix()
     order = _placement_order(circuit.num_qubits, weights)
+    partners = weight_partners(weights)
 
     placement = Placement()
     free_devices = set(device.coupling_graph.nodes)
     centre = central_device(device)
     placement.assign(order[0], Slot(centre, 1))
     free_devices.discard(centre)
+    device_of = {order[0]: centre}  # placed qubit -> device
 
     for qubit in order[1:]:
-        def cost(candidate: int, qubit: int = qubit) -> float:
-            return sum(
-                _pair_weight(weights, qubit, placed) * distances[candidate][placement.device_of(placed)]
-                for placed in placement.qubits()
-            )
+        terms = [(w, device_of[other]) for other, w in partners.get(qubit, ()) if other in device_of]
+
+        def cost(candidate: int, terms: list[tuple[float, int]] = terms) -> float:
+            return sum(weight * distances[candidate][placed_on] for weight, placed_on in terms)
 
         best = min(sorted(free_devices), key=lambda d: (cost(d), d))
         placement.assign(qubit, Slot(best, 1))
         free_devices.discard(best)
+        device_of[qubit] = best
     return placement
 
 
@@ -179,6 +206,7 @@ def place_two_per_ququart(
     weights = weights if weights is not None else interaction_weights(circuit)
     distances = device.distance_matrix()
     order = _placement_order(circuit.num_qubits, weights)
+    partners = weight_partners(weights)
 
     placement = Placement()
     free_slots = {
@@ -188,16 +216,18 @@ def place_two_per_ququart(
     first_slot = Slot(centre, 0)
     placement.assign(order[0], first_slot)
     free_slots.discard(first_slot)
+    device_of = {order[0]: centre}  # placed qubit -> device
 
     for qubit in order[1:]:
-        def cost(candidate: Slot, qubit: int = qubit) -> float:
+        terms = [(w, device_of[other]) for other, w in partners.get(qubit, ()) if other in device_of]
+
+        def cost(candidate: Slot, terms: list[tuple[float, int]] = terms) -> float:
             return sum(
-                _pair_weight(weights, qubit, placed)
-                * distances[candidate.device][placement.device_of(placed)]
-                for placed in placement.qubits()
+                weight * distances[candidate.device][placed_on] for weight, placed_on in terms
             )
 
         best = min(sorted(free_slots), key=lambda s: (cost(s), s))
         placement.assign(qubit, best)
         free_slots.discard(best)
+        device_of[qubit] = best.device
     return placement

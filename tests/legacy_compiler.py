@@ -4,13 +4,18 @@ This is a verbatim copy of the monolithic ``repro.core.compiler`` driver as
 it stood before the pass-pipeline refactor, kept so the golden-equivalence
 suite (``tests/test_golden_equivalence.py``) can assert that the new
 ``DecomposePass -> PlacePass -> RoutePass -> EmitPass`` pipeline emits
-bit-for-bit identical physical circuits.  Do not "fix" or modernise this
-file: it must keep producing exactly the pre-refactor output.
+bit-for-bit identical physical circuits.  Its placement and routing come
+from the frozen full-scan cost model in ``tests/legacy_routing.py``, not
+from ``repro.core.mapping``/``repro.core.routing``, so the suite also pins
+every routing SWAP.  Do not "fix" or modernise this file: it must keep
+producing exactly the pre-refactor output.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from legacy_routing import Router, interaction_weights, place_one_per_device, place_two_per_ququart
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Gate
@@ -18,9 +23,7 @@ from repro.core import decompositions
 from repro.core.emitter import CompilationError, OpEmitter
 from repro.core.encoding import Placement
 from repro.core.gateset import ErrorModel, GateSet
-from repro.core.mapping import interaction_weights, place_one_per_device, place_two_per_ququart
 from repro.core.physical import PhysicalCircuit
-from repro.core.routing import Router
 from repro.core.strategies import Strategy, ThreeQubitMode
 from repro.topology.device import Device
 

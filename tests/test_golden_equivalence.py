@@ -4,8 +4,13 @@ The new ``DecomposePass -> PlacePass -> RoutePass -> EmitPass`` pipeline must
 emit **bit-for-bit identical** physical circuits to the frozen pre-refactor
 monolithic driver (``tests/legacy_compiler.py``) for every strategy on the
 paper's workloads, and a compilation served from the disk cache must be
-indistinguishable from a fresh one.
+indistinguishable from a fresh one.  The frozen compiler places and routes
+with the full-scan cost model of ``tests/legacy_routing.py``, so the
+route-heavy cases pin every routing SWAP of the live sparse cost model.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 from legacy_compiler import LegacyQuantumWaltzCompiler
@@ -18,6 +23,16 @@ from repro.workloads import workload_by_name
 
 #: The ISSUE-mandated golden workloads (Cuccaro adder, CNU, QRAM).
 GOLDEN_WORKLOADS = [("cuccaro", 5), ("cnu", 5), ("qram", 6)]
+
+#: Route-heavy cases: every figure workload at sizes where most disruption
+#: tie-breaks are decided among several candidates.
+ROUTE_HEAVY_WORKLOADS = [
+    (workload, size) for workload in ("qram", "cnu", "cuccaro", "select") for size in (13, 21)
+]
+
+#: Frozen modules that must not reach the live placement or routing code.
+FROZEN_MODULES = ("legacy_compiler.py", "legacy_routing.py")
+LIVE_COST_MODEL = ("repro.core.mapping", "repro.core.routing")
 
 
 def assert_same_compilation(new, old) -> None:
@@ -33,12 +48,24 @@ def assert_same_compilation(new, old) -> None:
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("strategy", list(Strategy))
-    @pytest.mark.parametrize("workload,size", GOLDEN_WORKLOADS)
+    @pytest.mark.parametrize("workload,size", GOLDEN_WORKLOADS + ROUTE_HEAVY_WORKLOADS)
     def test_pipeline_matches_legacy_compiler(self, workload, size, strategy):
         circuit = workload_by_name(workload, size)
         new = QuantumWaltzCompiler().compile(circuit, strategy=strategy)
         old = LegacyQuantumWaltzCompiler().compile(circuit, strategy=strategy)
         assert_same_compilation(new, old)
+
+    @pytest.mark.parametrize("module", FROZEN_MODULES)
+    def test_frozen_oracle_does_not_import_live_cost_model(self, module):
+        tree = ast.parse((Path(__file__).parent / module).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert [name for name in sorted(imported) if name.startswith(LIVE_COST_MODEL)] == []
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_pass_report_accounts_for_every_op(self, strategy):

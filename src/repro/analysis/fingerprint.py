@@ -152,6 +152,7 @@ REGIONS: tuple[Region, ...] = (
     _kernel("draw_idle_choice"),
     _kernel("jump_scale"),
     _kernel("sample_gate_error"),
+    _kernel("_error_factor"),
     _kernel("_fuse_gate_runs"),
     _kernel("_program_cache_key"),
     # Program layout (noise/program.py): what the compile cache pickles.
@@ -179,6 +180,8 @@ REGIONS: tuple[Region, ...] = (
     _result("repro/core/encoding.py", "embed_logical_state"),
     _result("repro/qudit/states.py", "fidelity"),
     _result("repro/noise/channels.py", "sample_depolarizing_error_factors"),
+    _result("repro/noise/channels.py", "_sample_error_indices"),
+    _result("repro/noise/channels.py", "_weyl_factors"),
     _result("repro/noise/model.py", "NoiseModel.idle_decay_probabilities"),
     _result("repro/noise/batched.py", "BatchedTrajectoryEngine"),
     _result("repro/noise/adaptive.py", "adaptive_average_fidelity"),

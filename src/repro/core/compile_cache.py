@@ -69,7 +69,10 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: v5: fixed-count runs with ``batch_size=None`` run one-row engine blocks
 #: (the scalar loop is gone), and idle populations of large rows are
 #: contracted row by row, so results no longer depend on the block size.
-CACHE_SCHEMA_VERSION = 5
+#: v6: ``single`` kernels carry the float64 ``real`` part of a real unitary
+#: (applied as one float64 einsum, same bits), and depolarizing draws reuse
+#: cached error factors.
+CACHE_SCHEMA_VERSION = 6
 
 #: Default capacity of the in-process LRU front (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -124,23 +125,43 @@ class PhysicalOp:
         """Return the unitary on the op's devices, given their dimensions.
 
         ``device_dims`` are the dimensions of ``self.devices`` in order (e.g.
-        ``(4, 2)`` for a ququart-qubit pair).
+        ``(4, 2)`` for a ququart-qubit pair).  The result is memoized for the
+        whole process and read-only: ops with byte-equal logical unitaries on
+        the same slots and dimensions share one array.
         """
         if len(device_dims) != len(self.devices):
             raise ValueError("device_dims must match the op's device count")
         # For 2-level devices the only slot is logical slot 1 in the compiler's
         # convention; remap it to the embedding's slot 0.
-        remapped = []
-        for position, slot in self.operand_slots:
-            if device_dims[position] == 2:
-                remapped.append((position, 0))
-            else:
-                remapped.append((position, slot))
-        return embed_qubit_unitary(self.logical_unitary(), remapped, device_dims)
+        remapped = tuple(
+            (position, 0 if device_dims[position] == 2 else slot)
+            for position, slot in self.operand_slots
+        )
+        logical = self.logical_unitary()
+        # Keyed on the bytes, not on ``params``: RZ(0.0) and RZ(-0.0) compare
+        # equal but differ in the sign of an imaginary zero.
+        return _embedded_unitary(
+            logical.dtype.str, logical.shape, logical.tobytes(), remapped, tuple(device_dims)
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         devices = ",".join(str(d) for d in self.devices)
         return f"{self.label}[{devices}] ({self.duration_ns:.0f} ns)"
+
+
+@lru_cache(maxsize=1024)
+def _embedded_unitary(
+    dtype: str,
+    shape: tuple[int, ...],
+    data: bytes,
+    operand_slots: tuple[tuple[int, int], ...],
+    device_dims: tuple[int, ...],
+) -> np.ndarray:
+    """The memo behind :meth:`PhysicalOp.embedded_unitary` (read-only arrays)."""
+    logical = np.frombuffer(data, dtype=dtype).reshape(shape)
+    unitary = embed_qubit_unitary(logical, operand_slots, device_dims)
+    unitary.flags.writeable = False
+    return unitary
 
 
 class PhysicalCircuit:
@@ -168,10 +189,6 @@ class PhysicalCircuit:
         self.num_logical_qubits = num_logical_qubits
         self.name = name
         self._ops: list[PhysicalOp] = []
-        #: Embedded unitaries memoized per distinct op; identical ops (same
-        #: label, devices, slots and params) share one entry, so a unitary is
-        #: built once per compilation instead of once per op per trajectory.
-        self._unitary_cache: dict[PhysicalOp, np.ndarray] = {}
         #: Memoized ASAP schedule; invalidated whenever an op is appended.
         self._schedule_cache: list[ScheduledGate[PhysicalOp]] | None = None
         #: Bumped on every append; lets external caches (compiled trajectory
@@ -226,16 +243,11 @@ class PhysicalCircuit:
     def op_unitary(self, op: PhysicalOp) -> np.ndarray:
         """Return the embedded unitary of an op on its devices.
 
-        Results are cached per distinct op (ops are frozen and hashable); the
-        returned array is marked read-only because it is shared between
-        callers and trajectories.
+        The array comes from :meth:`PhysicalOp.embedded_unitary`'s
+        process-wide memo, so it is read-only and shared between callers,
+        trajectories and circuits.
         """
-        cached = self._unitary_cache.get(op)
-        if cached is None:
-            cached = op.embedded_unitary(self.dims_of_op(op))
-            cached.flags.writeable = False
-            self._unitary_cache[op] = cached
-        return cached
+        return op.embedded_unitary(self.dims_of_op(op))
 
     def count_by_class(self) -> Counter:
         """Return a Counter of ops per :class:`GateClass`."""

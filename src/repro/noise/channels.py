@@ -16,6 +16,7 @@ Two error mechanisms are modelled:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +78,39 @@ def num_error_channels(dims: Sequence[int]) -> int:
     return total - 1
 
 
+@lru_cache(maxsize=16)
+def _weyl_factors(dim: int) -> tuple[np.ndarray, ...]:
+    """Read-only per-device error factors, indexed like the Weyl basis (0: identity)."""
+    factors = (qudit_identity(dim), *generalized_pauli_basis(dim, include_identity=True)[1:])
+    for factor in factors:
+        factor.flags.writeable = False
+    return factors
+
+
+def _sample_error_indices(
+    dims: Sequence[int],
+    error_probability: float,
+    rng: np.random.Generator,
+) -> list[int] | None:
+    """Draw one depolarizing error as per-device Weyl indices (None: no error).
+
+    Consumes ``rng`` exactly as :func:`sample_depolarizing_error_factors`
+    does; index ``0`` on a device is its identity factor.
+    """
+    if not 0.0 <= error_probability < 1.0:
+        raise ValueError("error probability must be in [0, 1)")
+    if rng.random() >= error_probability:
+        return None
+    channels = num_error_channels(dims)
+    index = int(rng.integers(channels)) + 1  # skip the all-identity element
+    indices = []
+    for dim in reversed(dims):
+        indices.append(index % (dim * dim))
+        index //= dim * dim
+    indices.reverse()
+    return indices
+
+
 def sample_depolarizing_error_factors(
     dims: Sequence[int],
     error_probability: float,
@@ -88,25 +122,13 @@ def sample_depolarizing_error_factors(
     is returned; otherwise one of the non-identity error operators is drawn
     uniformly (each channel has probability ``p / (prod(d_i^2) - 1)``) and
     its per-device Weyl factors are returned in device order.  The factors
-    are built lazily from the sampled index instead of materialising the full
-    (up to 255-element) operator list on every call.
+    are read-only arrays shared between draws, so no call rebuilds the
+    (up to 255-element) operator list or the per-device basis.
     """
-    if not 0.0 <= error_probability < 1.0:
-        raise ValueError("error probability must be in [0, 1)")
-    if rng.random() >= error_probability:
+    indices = _sample_error_indices(dims, error_probability, rng)
+    if indices is None:
         return None
-    channels = num_error_channels(dims)
-    index = int(rng.integers(channels)) + 1  # skip the all-identity element
-    factors = []
-    for dim in reversed(dims):
-        local = index % (dim * dim)
-        index //= dim * dim
-        if local == 0:
-            factors.append(qudit_identity(dim))
-        else:
-            factors.append(generalized_pauli_basis(dim, include_identity=True)[local])
-    factors.reverse()
-    return factors
+    return [_weyl_factors(dim)[local] for dim, local in zip(dims, indices)]
 
 
 def sample_depolarizing_error(
@@ -118,7 +140,7 @@ def sample_depolarizing_error(
 
     Thin wrapper over :func:`sample_depolarizing_error_factors` that returns
     the Kronecker product of the per-device factors (or ``None`` when no
-    error is drawn).
+    error is drawn).  On one device the operator is a shared read-only array.
     """
     factors = sample_depolarizing_error_factors(dims, error_probability, rng)
     if factors is None:

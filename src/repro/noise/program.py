@@ -16,6 +16,8 @@ is *monomial* (exactly one nonzero entry per row of the unitary):
 * ``perm``     — 0/1 permutation (X, CX, SWAP, ENC, CCX, ...): one index gather,
 * ``monomial`` — permutation with phases (Y, iToffoli, ...): gather + multiply,
 * ``single``   — dense single-device unitary (H, damping Kraus): one einsum,
+  over the interleaved float64 view of the block when the unitary is real
+  (H on an encoded qubit), over the complex block otherwise,
 * ``generic``  — anything else: transpose + GEMM via ``apply_unitary``.
 
 The engine applies every kernel to a ``(batch, dim)`` block with
@@ -52,12 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 import numpy as np
 
 from repro.backends import get_backend
 from repro.backends.base import ArrayBackend
 from repro.core.physical import PhysicalCircuit, PhysicalOp
-from repro.noise.channels import sample_depolarizing_error_factors
+from repro.noise.channels import _sample_error_indices, _weyl_factors
 from repro.noise.model import NoiseModel
 from repro.qudit.unitaries import embed_qubit_unitary
 
@@ -81,11 +84,13 @@ __all__ = [
 #: size, so the fallback cannot make block sizes diverge.
 _MAX_GATHER_ENTRIES = 256
 
-#: Above this many elements (batch * hilbert_dim) a generic unitary is
-#: applied row by row instead of through one batched GEMM: the batched
-#: transpose of a huge block is strided across all of it and loses to the
-#: cache-friendly per-row path.  Purely a speed knob — both variants are
-#: bit-for-bit identical to the one-statevector kernel.
+#: Above this many elements (batch * hilbert_dim) a generic unitary, and a
+#: ``single`` kernel that runs the complex einsum, is applied row by row
+#: instead of through one batched contraction: the batched transpose (or
+#: einsum loop order) of a huge block is strided across all of it and loses
+#: to the cache-friendly per-row path.  A real ``single`` kernel off the last
+#: axis runs one float64 einsum at every size.  Purely a speed knob — every
+#: variant is bit-for-bit identical to the one-statevector kernel.
 _GENERIC_BATCH_ELEMENT_LIMIT = 1 << 20
 
 #: Largest number of materialized fused kernels per program (each owns an
@@ -114,7 +119,8 @@ class _Kernel:
     touched axes; a gather's ``index`` maps the ``span`` axis and its phases
     broadcast over the register but vary only within the span.  ``"fused"``
     kernels come from compile-time monomial fusion, never classification,
-    and have no ``unitary``.
+    and have no ``unitary``.  A ``single`` kernel whose unitary has no
+    imaginary part carries its real part as a contiguous float64 ``real``.
     """
 
     kind: str  # "diag" | "perm" | "monomial" | "fused" | "single" | "generic"
@@ -123,6 +129,7 @@ class _Kernel:
     index: np.ndarray | None = None  # span-local gather (perm / monomial / fused)
     phase: np.ndarray | None = None  # broadcast-ready phases
     reshape: tuple[int, int, int] | None = None  # (left, span, right)
+    real: np.ndarray | None = None  # float64 unitary of a real single kernel
 
 
 def _gather_kernel(
@@ -218,7 +225,10 @@ def _classify(
                 dims,
             )
     if len(targets) == 1:
-        return _Kernel("single", unitary, targets, reshape=_span_reshape(targets, dims))
+        real = None if np.any(unitary.imag) else np.ascontiguousarray(unitary.real)
+        return _Kernel(
+            "single", unitary, targets, reshape=_span_reshape(targets, dims), real=real
+        )
     return _Kernel("generic", unitary, targets)
 
 
@@ -284,6 +294,19 @@ def apply_kernel_batch(
     GEMM falls back to per-row application above a size threshold (below it,
     the batched dense apply performs the identical per-slice GEMM).
 
+    A real ``single`` kernel (``kernel.real``) off the last axis runs one
+    float64 einsum over the interleaved real/imaginary view
+    ``(batch * left, d, 2 * right)`` of the block, at every block size: each
+    output element is a sum over ``j`` alone, so the batch layout cannot
+    change it.  It equals the complex einsum bit for bit.  With
+    ``Im U = 0`` the complex product's real part ``Ur*sr - 0*si`` differs
+    from ``Ur*sr`` at most in the sign of a zero (likewise the imaginary
+    part), and einsum's accumulator starts at +0, where adding a zero of
+    either sign to +0 or to a nonzero value changes nothing.  On the last
+    axis (``right == 1``) the float view is slower than the complex einsum,
+    so such kernels, complex unitaries and non-host backends keep the
+    complex path.
+
     ``out``, when given, is a scratch block of the same shape that must not
     overlap ``states``: kernels that cannot work in place write into it and
     return it, everything else modifies ``states`` in place and returns it.
@@ -315,6 +338,15 @@ def apply_kernel_batch(
         left, d, right = kernel.reshape
         if out is None:
             out = backend.empty_like(states)
+        if kernel.real is not None and right > 1 and backend.host_memory:
+            view = (batch * left, d, 2 * right)
+            np.einsum(
+                "ij,ljr->lir",
+                kernel.real,
+                states.view(np.float64).reshape(view),
+                out=out.view(np.float64).reshape(view),
+            )
+            return out
         unitary = backend.constant(kernel.unitary)
         if elements <= _GENERIC_BATCH_ELEMENT_LIMIT:
             backend.einsum(
@@ -821,19 +853,28 @@ def sample_gate_error(
     rng: np.random.Generator,
 ) -> np.ndarray | None:
     """Draw the post-gate depolarizing error operator, or None (no error)."""
-    factors = sample_depolarizing_error_factors(step.error_dims, step.error_rate, rng)
-    if factors is None:
+    indices = _sample_error_indices(step.error_dims, step.error_rate, rng)
+    if indices is None:
         return None
     actual_dims = tuple(dims[d] for d in step.op.devices)
     result = np.array([[1.0]], dtype=np.complex128)
-    for err_dim, actual_dim, local in zip(step.error_dims, actual_dims, factors):
-        if err_dim == actual_dim:
-            lifted = local
-        elif err_dim == 2 and actual_dim == 4:
-            lifted = embed_qubit_unitary(local, [(0, 1)], (4,))
-        else:
-            raise ValueError(
-                f"cannot embed error of dim {err_dim} on device of dim {actual_dim}"
-            )
-        result = np.kron(result, lifted)
+    for err_dim, actual_dim, local in zip(step.error_dims, actual_dims, indices):
+        result = np.kron(result, _error_factor(err_dim, actual_dim, local))
     return result
+
+
+@lru_cache(maxsize=64)
+def _error_factor(err_dim: int, actual_dim: int, local: int) -> np.ndarray:
+    """Weyl factor ``local`` of an ``err_dim`` device lifted onto ``actual_dim``.
+
+    A qubit-mode factor on a ququart acts on levels ``|0>, |1>``; the result
+    is read-only and shared between draws.
+    """
+    factor = _weyl_factors(err_dim)[local]
+    if err_dim == actual_dim:
+        return factor
+    if err_dim == 2 and actual_dim == 4:
+        lifted = embed_qubit_unitary(factor, [(0, 1)], (4,))
+        lifted.flags.writeable = False
+        return lifted
+    raise ValueError(f"cannot embed error of dim {err_dim} on device of dim {actual_dim}")

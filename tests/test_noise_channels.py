@@ -10,6 +10,9 @@ from repro.noise.channels import (
     sample_depolarizing_error,
     sample_depolarizing_error_factors,
 )
+from repro.noise.program import _error_factor
+from repro.qudit.operators import generalized_pauli_basis
+from repro.qudit.unitaries import embed_qubit_unitary
 
 
 class TestDepolarizing:
@@ -59,6 +62,38 @@ class TestDepolarizing:
     def test_invalid_probability(self, rng):
         with pytest.raises(ValueError):
             sample_depolarizing_error_factors((2,), 1.5, rng)
+
+    @pytest.mark.parametrize("dims", [(2,), (4,), (2, 4), (4, 4), (2, 2, 4)])
+    def test_cached_factors_match_fresh_basis_and_rng_use(self, dims):
+        # The factors come from a per-dim cache; each must equal the fresh
+        # Weyl basis element (identity at index 0) and leave the stream
+        # exactly where a freshly built draw leaves it.
+        rng, fresh_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            factors = sample_depolarizing_error_factors(dims, 0.6, rng)
+            if fresh_rng.random() >= 0.6:
+                assert factors is None
+                continue
+            index = int(fresh_rng.integers(num_error_channels(dims))) + 1
+            for dim, factor in zip(reversed(dims), reversed(factors)):
+                local = index % (dim * dim)
+                index //= dim * dim
+                basis = [np.eye(dim, dtype=complex)] + generalized_pauli_basis(dim, True)[1:]
+                assert factor.tobytes() == basis[local].tobytes()
+                assert not factor.flags.writeable
+        assert rng.bit_generator.state == fresh_rng.bit_generator.state
+        assert generalized_pauli_basis(4) is not generalized_pauli_basis(4)
+
+    def test_lifted_qubit_factors_match_fresh_embedding(self):
+        # A qubit-mode error on a ququart acts on levels |0>, |1>.
+        basis = [np.eye(2, dtype=complex)] + generalized_pauli_basis(2, True)[1:]
+        for local, factor in enumerate(basis):
+            lifted = _error_factor(2, 4, local)
+            assert lifted.tobytes() == embed_qubit_unitary(factor, [(0, 1)], (4,)).tobytes()
+            assert not lifted.flags.writeable
+        assert _error_factor(4, 4, 5) is _error_factor(4, 4, 5)
+        with pytest.raises(ValueError, match="cannot embed"):
+            _error_factor(4, 2, 1)
 
 
 class TestAmplitudeDamping:

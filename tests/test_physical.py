@@ -6,6 +6,7 @@ import pytest
 from repro.circuits.library import gate_unitary
 from repro.core.gateset import GateClass
 from repro.core.physical import PhysicalCircuit, PhysicalOp, Slot
+from repro.qudit.unitaries import embed_qubit_unitary
 
 
 def _simple_op(label="CX2", devices=(0, 1), duration=251.0, gate_class=GateClass.QUBIT_TWO_Q):
@@ -72,6 +73,48 @@ class TestPhysicalOp:
     def test_embedded_unitary_dim_mismatch(self):
         with pytest.raises(ValueError):
             _simple_op().embedded_unitary((4,))
+
+
+def _rz_op(angle, label="RZ"):
+    return PhysicalOp(
+        label=label,
+        logical_name="RZ",
+        devices=(0,),
+        operand_slots=((0, 0),),
+        duration_ns=0.0,
+        error_rate=0.0,
+        gate_class=GateClass.INTERNAL,
+        params=(angle,),
+    )
+
+
+class TestEmbeddingMemo:
+    def test_memo_equals_fresh_embedding_and_is_read_only(self):
+        op = _simple_op()
+        unitary = op.embedded_unitary((4, 2))
+        fresh = embed_qubit_unitary(gate_unitary("CX"), [(0, 1), (1, 0)], (4, 2))
+        assert unitary.dtype == fresh.dtype and unitary.shape == fresh.shape
+        assert unitary.tobytes() == fresh.tobytes()
+        assert not unitary.flags.writeable
+        with pytest.raises(ValueError):
+            unitary[0, 0] = 0.0
+
+    def test_circuits_with_equal_ops_share_one_array(self):
+        first, second = PhysicalCircuit(2, device_dims=(4, 2)), PhysicalCircuit(3, (4, 2, 4))
+        op = _simple_op()
+        first.append(op)
+        second.append(_simple_op(label="other-label"))
+        assert first.op_unitary(op) is second.op_unitary(second.ops[0])
+
+    def test_signed_zero_angles_do_not_share_an_entry(self):
+        positive, negative = _rz_op(0.0), _rz_op(-0.0)
+        assert positive.params == negative.params  # 0.0 == -0.0: equal params
+        plus, minus = positive.embedded_unitary((4,)), negative.embedded_unitary((4,))
+        assert plus is not minus
+        assert plus.tobytes() != minus.tobytes()
+        for memo, angle in ((plus, 0.0), (minus, -0.0)):
+            fresh = embed_qubit_unitary(gate_unitary("RZ", (angle,)), [(0, 0)], (4,))
+            assert memo.tobytes() == fresh.tobytes()
 
 
 class TestPhysicalCircuit:

@@ -13,6 +13,10 @@ hash the *expanded* programs, so they assert that compiled programs mean
 exactly what the reference builders' programs meant.  The pickled layout
 did change, which is why ``CACHE_SCHEMA_VERSION`` was bumped: programs
 cached on disk under the old version miss and are rebuilt.
+
+A ``single`` kernel with a real unitary runs as a float64 einsum over the
+interleaved real/imaginary view of the block; ``TestRealSingleKernel``
+holds it to the complex einsum of :func:`apply_kernel` byte for byte.
 """
 
 from __future__ import annotations
@@ -371,6 +375,122 @@ class TestSpanLocalApply:
         pair = np.empty((3, 16), dtype=np.complex128)
         with pytest.raises(ValueError, match="overlap"):
             apply_kernel_batch(pair[:2], kernel, dims, out=pair[1:])
+
+
+# ---------------------------------------------------------------------------
+# real single-device kernels: float64 contraction against the complex einsum
+# ---------------------------------------------------------------------------
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+REAL_REGISTERS = [(4,) * 5, (2, 4, 4, 4, 2), (4,) * 7]
+
+
+def real_single_unitary(rng: np.random.Generator, d: int, shape: str) -> np.ndarray:
+    """A real ``d x d`` matrix (complex dtype) that classifies as ``single``.
+
+    ``shape`` is ``"dense"``, ``"sparse"`` (exact zeros, never monomial),
+    or a Hadamard on one encoded qubit (``"H(x)I"``/``"I(x)H"``, plain H
+    when ``d == 2``).  Some imaginary zeros are negative.
+    """
+    if shape == "dense":
+        real = rng.standard_normal((d, d)) * np.exp2(rng.integers(-3, 4, (d, d)))
+    elif shape == "sparse":
+        real = rng.standard_normal((d, d))
+        real[rng.random((d, d)) < 0.4] = 0.0
+        real[0, :2] = rng.standard_normal(2) + 2.0  # two nonzeros: not monomial
+    elif d == 2:
+        real = HADAMARD
+    elif shape == "H(x)I":
+        real = np.kron(HADAMARD, np.eye(2))
+    else:
+        real = np.kron(np.eye(2), HADAMARD)
+    unitary = real.astype(np.complex128)
+    unitary.imag[rng.random((d, d)) < 0.5] = -0.0
+    return unitary
+
+
+def signed_zero_states(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    """Amplitudes over exponents ±1000, with exact +0 and -0 components."""
+    states = random_states(rng, rows, dim)
+    parts = states.view(np.float64)
+    parts *= np.exp2(rng.integers(-1000, 1001, parts.shape))
+    parts[rng.random(parts.shape) < 0.1] = 0.0
+    parts[rng.random(parts.shape) < 0.1] = -0.0
+    return states
+
+
+def assert_rows_match_complex_einsum(
+    kernel: _Kernel, dims: tuple[int, ...], states: np.ndarray
+) -> None:
+    """Every block row equals the one-row complex einsum, by ``tobytes``."""
+    expected = [apply_kernel(row, kernel, dims) for row in states]
+    block = apply_kernel_batch(states.copy(), kernel, dims, out=np.empty_like(states))
+    for got, want in zip(block, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def einsum_operand_dtypes(monkeypatch) -> list[set]:
+    """Record the operand dtypes of every ``np.einsum`` call from now on."""
+    calls: list[set] = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append({arg.dtype for arg in args[1:]})
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+class TestRealSingleKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dims=st.sampled_from(REAL_REGISTERS),
+        shape=st.sampled_from(["dense", "sparse", "H(x)I", "I(x)H"]),
+        rows=st.sampled_from([1, 3, 16]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rows_equal_complex_einsum_bytes(self, dims, shape, rows, seed, data):
+        axis = data.draw(st.integers(0, len(dims) - 1))
+        rng = np.random.default_rng(seed)
+        unitary = real_single_unitary(rng, dims[axis], shape)
+        kernel = _classify(unitary, (axis,), dims, [0])
+        assert kernel.kind == "single"
+        assert kernel.real.dtype == np.float64 and kernel.real.flags.c_contiguous
+        assert np.array_equal(kernel.real, unitary.real)
+        assert_rows_match_complex_einsum(
+            kernel, dims, signed_zero_states(rng, rows, math.prod(dims))
+        )
+
+    @pytest.mark.parametrize("axis", [0, 2, 4])
+    def test_block_above_element_limit(self, axis):
+        dims = (4,) * 5
+        rng = np.random.default_rng(axis)
+        kernel = _classify(real_single_unitary(rng, 4, "I(x)H"), (axis,), dims, [0])
+        rows = _GENERIC_BATCH_ELEMENT_LIMIT // math.prod(dims) + 1
+        assert_rows_match_complex_einsum(
+            kernel, dims, signed_zero_states(rng, rows, math.prod(dims))
+        )
+
+    @pytest.mark.parametrize("axis, float_path", [(1, True), (2, False)])
+    def test_float_path_runs_off_the_last_axis_only(self, monkeypatch, axis, float_path):
+        dims = (2, 4, 4)
+        kernel = _classify(np.kron(HADAMARD, np.eye(2)).astype(complex), (axis,), dims, [0])
+        states = random_states(np.random.default_rng(axis), 3, 32)
+        calls = einsum_operand_dtypes(monkeypatch)
+        apply_kernel_batch(states, kernel, dims, out=np.empty_like(states))
+        assert calls == [{np.dtype(np.float64)} if float_path else {np.dtype(np.complex128)}]
+
+    def test_complex_unitary_keeps_complex_path(self, monkeypatch):
+        dims = (4, 4, 4)
+        unitary = np.kron(HADAMARD, np.diag([1.0, 1.0j]))
+        kernel = _classify(unitary, (1,), dims, [0])
+        assert kernel.kind == "single" and kernel.real is None
+        states = random_states(np.random.default_rng(1), 3, 64)
+        calls = einsum_operand_dtypes(monkeypatch)
+        assert_rows_match_complex_einsum(kernel, dims, states)
+        assert calls and all(dtypes == {np.dtype(np.complex128)} for dtypes in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Setup shim for environments without the `wheel` package.
+"""Setup shim so that ``pip install -e .`` works.
 
-All project metadata lives in pyproject.toml; this file only exists so that
-``pip install -e .`` can fall back to the legacy setuptools editable install
-on machines where PEP 660 editable wheels cannot be built (e.g. offline
-environments without the ``wheel`` package).
+There is no ``pyproject.toml`` and no metadata here: ``python setup.py
+--name --version`` prints ``UNKNOWN 0.0.0``.  setuptools' automatic
+discovery finds the one package, ``src/repro``, and declares no install
+requirements.  Install the dependencies yourself, as
+``.github/actions/setup-repro`` does: ``pip install numpy scipy networkx
+pytest``.  Without installing anything, run from the repo root with
+``PYTHONPATH=src``.
 """
 
 from setuptools import setup

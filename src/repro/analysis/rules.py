@@ -572,7 +572,7 @@ class RawDurableWriteRule(Rule):
     title = "raw durable write outside the storage layer"
     invariant = (
         "durable-I/O unification: every byte the cache, "
-        "scheduler, serve and artifact layers publish goes through "
+        "scheduler and artifact layers publish goes through "
         "repro.core.storage (atomic, fault-injectable, retried, "
         "quarantine-aware); a bare write-mode open, os.replace/rename/link "
         "or tempfile write re-creates the torn-file and silent-corruption "

@@ -3,14 +3,13 @@
 Nothing here re-implements pipeline machinery: compilation goes through
 the sweep engine's cached ``_compiled`` path (so the compile cache's audit
 log stays the recompilation oracle), and table evaluation goes through
-``SweepRunner.iter_evaluate`` — the single point-execution engine — or,
-when an ``executor`` is injected, through any fan-out that honours the
-scheduler's landed-row contract.  Each simulated point's evaluation
-compiles its trajectory program and simulates, in whichever process runs
-it.  The graph only decides *what* to evaluate and
-*whether* it already happened — including, with ``$REPRO_CACHE_DIR``, per
-simulated point: the table provider persists each point's trajectory result
-under :func:`point_result_key`, so a warm rerun simulates nothing.
+``SweepRunner.iter_evaluate`` — the single point-execution engine.  Each
+simulated point's evaluation compiles its trajectory program and
+simulates, in whichever process runs it.  The graph only decides *what*
+to evaluate and *whether* it already happened — including, with
+``$REPRO_CACHE_DIR``, per simulated point: the table provider persists
+each point's trajectory result under :func:`point_result_key`, so a warm
+rerun simulates nothing.
 
 Heavy imports (numpy, the noise stack) stay inside build methods: nodes
 and graphs are cheap to construct in CLI front-ends and tests.
@@ -19,7 +18,7 @@ and graphs are cheap to construct in CLI front-ends and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.artifacts.graph import Graph, Provider
 from repro.artifacts.nodes import (
@@ -146,35 +145,28 @@ class SweepTableProvider(Provider):
     shared across tables resolve before any point runs.
     Evaluation itself goes through ``runner.iter_evaluate`` — scheduling,
     failure capture and the bit-for-bit guarantees are the sweep engine's,
-    unchanged — or through ``executor`` (a callable mapping points to
-    landed rows, e.g. a lease-scheduler drain).  Failures follow the
-    runner's contract: the failure artifact is written, ``SweepFailure``
-    raised.  The raw evaluations of the last build per node are kept on
-    ``self.evaluations`` so driver CLIs can return them unchanged.
+    unchanged.  Failures follow the runner's contract: the failure artifact
+    is written, ``SweepFailure`` raised.  The raw evaluations of the last
+    build per node are kept on ``self.evaluations`` so driver CLIs can
+    return them unchanged.
 
-    With a persistent compile cache (``$REPRO_CACHE_DIR``) the runner path
+    With a persistent compile cache (``$REPRO_CACHE_DIR``) the provider
     adds a per-point result layer: every simulated point whose compilation
     succeeded is looked up under :func:`point_result_key` in the cache's
     disk layer.  A hit is assembled by ``evaluate_point(point,
     simulation=cached)`` in this process — no trajectory runs, no program
     or record loads, nothing is dispatched to the runner's workers.  Misses
     run through ``runner.iter_evaluate`` as before, and each successful
-    result is published as it lands; failed points never are.  The
-    ``executor`` path and runs without ``$REPRO_CACHE_DIR`` never touch the
-    layer.  To force a recompute, point ``$REPRO_CACHE_DIR`` at a fresh
-    directory.
+    result is published as it lands; failed points never are.  Runs
+    without ``$REPRO_CACHE_DIR`` never touch the layer.  To force a
+    recompute, point ``$REPRO_CACHE_DIR`` at a fresh directory.
     """
 
     artifact_type = SweepTableArtifact
     name = "sweep-table"
 
-    def __init__(
-        self,
-        runner: Any = None,
-        executor: Callable[[Sequence[Any]], Sequence[dict]] | None = None,
-    ):
+    def __init__(self, runner: Any = None):
         self.runner = runner
-        self.executor = executor
         self.evaluations: dict[SweepTableArtifact, list[Any]] = {}
 
     def requires(self, node: SweepTableArtifact) -> Sequence[Any]:
@@ -194,8 +186,6 @@ class SweepTableProvider(Provider):
         )
 
         points = list(node.points)
-        if self.executor is not None:
-            return list(self.executor(points))
         runner = self.runner if self.runner is not None else SweepRunner(max_workers=1)
         evaluations: list[Any] = [None] * len(points)
         cache = get_cache()
@@ -295,22 +285,16 @@ class BenchJSONProvider(Provider):
         return str(atomic_write_json(node.path, inputs[0]))
 
 
-def build_graph(
-    runner: Any = None,
-    executor: Callable[[Sequence[Any]], Sequence[dict]] | None = None,
-    cache: Any = None,
-) -> Graph:
+def build_graph(runner: Any = None, cache: Any = None) -> Graph:
     """A graph wired with the full default provider set.
 
     ``runner`` (a ``SweepRunner``) drives table evaluation and RB fan-out;
-    ``executor`` replaces the table path with an external drain (the lease
-    scheduler); ``cache`` overrides the process compile cache for
-    persistence (tests).
+    ``cache`` overrides the process compile cache for persistence (tests).
     """
     return Graph(
         providers=(
             CompiledProgramProvider(),
-            SweepTableProvider(runner=runner, executor=executor),
+            SweepTableProvider(runner=runner),
             FigureCSVProvider(),
             FigureJSONProvider(),
             RBSurvivalsProvider(runner=runner),

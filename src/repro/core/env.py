@@ -121,15 +121,6 @@ REGISTRY: tuple[EnvKnob, ...] = (
         ),
     ),
     EnvKnob(
-        name="REPRO_SERVE_POLL_S",
-        kind="float",
-        default="0.5",
-        description=(
-            "Poll interval in seconds for the sweep-service front "
-            "(`watch` streaming and idle leased-worker backoff)."
-        ),
-    ),
-    EnvKnob(
         name="REPRO_FAULT_PLAN",
         kind="string",
         default="unset (no fault injection)",

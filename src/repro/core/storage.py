@@ -1,10 +1,9 @@
 """Unified durable-I/O layer: atomic writes, guarded reads, retry, quarantine.
 
 Before this module, the durable subsystems (the compile cache, the lease
-coordinator with its manifests/rows, serve job specs and artifact-graph
-persistence) each hand-rolled a tmp-write/rename or
-tmp-write/link protocol.  They now share one implementation with three
-properties none of the copies had:
+coordinator with its manifests/rows and artifact-graph persistence) each
+hand-rolled a tmp-write/rename or tmp-write/link protocol.  They now share
+one implementation with three properties none of the copies had:
 
 * **fault injectability** — every primitive gates its syscalls through the
   active :class:`~repro.faults.FaultPlan` (torn writes, EIO/ENOSPC,
@@ -258,11 +257,11 @@ def atomic_write_json(
     """Publish JSON with tmp + ``os.replace`` so a kill never tears a file.
 
     Shared by the sweep failure artifacts, the scheduler's markers,
-    manifests and row stores, serve job specs and the
-    artifact providers: durable progress records are written exactly when
-    crashes are likely, so they must never be half-written.  The bytes are
-    ``json.dumps(payload, indent=2, default=str)`` — the historical format
-    every byte-identity gate is pinned to.
+    manifests and row stores, and the artifact providers: durable progress
+    records are written exactly when crashes are likely, so they must never
+    be half-written.  The bytes are ``json.dumps(payload, indent=2,
+    default=str)`` — the historical format every byte-identity gate is
+    pinned to.
     """
     return atomic_write_text(path, json.dumps(payload, indent=2, default=str), retry=retry)
 

@@ -20,9 +20,8 @@ trade-off the paper makes against its 86 GB simulation ceiling).
 
 Grids run through :mod:`.sweep` on one machine, or are drained across
 machines by lease-coordinated workers through :mod:`.scheduler` (``python
--m repro.experiments.scheduler``, or a figure driver's ``--dir`` flag) and
-the :mod:`.serve` submission front (``python -m repro.experiments.serve``)
-— the merged artifacts are byte-identical to the single-machine run.
+-m repro.experiments.scheduler``, or a figure driver's ``--dir`` flag) —
+the merged artifacts are byte-identical to the single-machine run.
 """
 
 from repro.experiments.runner import StrategyEvaluation, evaluate_strategy
@@ -46,7 +45,6 @@ __all__ = [
     "merge_job",
     "plan_job",
     "point_key",
-    "queue_status",
     "retry_failed",
     "run_cswap_study",
     "run_coherence_sensitivity",
@@ -55,9 +53,7 @@ __all__ = [
     "run_gate_error_sensitivity",
     "run_gate_ratio_study",
     "run_interleaved_rb",
-    "submit_job",
     "summarize_improvements",
-    "watch_job",
 ]
 
 #: Names resolved lazily (PEP 562) from modules that double as CLIs:
@@ -72,9 +68,6 @@ _LAZY_EXPORTS = {
     "merge_job": "scheduler",
     "plan_job": "scheduler",
     "retry_failed": "scheduler",
-    "queue_status": "serve",
-    "submit_job": "serve",
-    "watch_job": "serve",
     "run_fidelity_sweep": "fidelity_sweep",
     "summarize_improvements": "fidelity_sweep",
     "run_cswap_study": "cswap_study",

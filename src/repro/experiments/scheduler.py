@@ -57,15 +57,13 @@ The Fig. 7 / Fig. 9a drivers save their own (flag-built) grid as a job
 with ``--dir``; workers then drain it with ``work`` as above::
 
     python -m repro.experiments.fidelity_sweep --sizes 5 7 --dir DIR
-
-The async submission front (named jobs, watch-streaming) lives in
-:mod:`repro.experiments.serve`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import threading
 import time
@@ -134,7 +132,7 @@ _ADAPTIVE_PLANNING_TRAJECTORIES = 256
 #: Fallback lease time-to-live in seconds when ``REPRO_LEASE_TTL`` is unset.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Fallback idle-poll interval in seconds when ``REPRO_SERVE_POLL_S`` is unset.
+#: Idle-poll interval in seconds of a :class:`LeasedWorker` given no ``poll``.
 DEFAULT_POLL_S = 0.5
 
 
@@ -465,8 +463,10 @@ class LeaseCoordinator:
         if ttl is None:
             ttl = env.read_float("REPRO_LEASE_TTL")
         self.ttl = float(ttl) if ttl is not None else DEFAULT_LEASE_TTL
-        if self.ttl <= 0:
-            raise SchedulerError("lease ttl must be positive")
+        # A NaN deadline never compares as passed, so its lease would never
+        # be reclaimed; an infinite one never expires either.
+        if not 0 < self.ttl < math.inf:
+            raise SchedulerError(f"lease ttl must be finite and positive, got {self.ttl!r}")
         self._clock = clock if clock is not None else _now
         self._counter = 0
         self._order = self.spec.acquisition_order()
@@ -943,13 +943,13 @@ class LeasedWorker:
         abandon_after: int | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        self.poll = float(poll) if poll is not None else DEFAULT_POLL_S
+        if not 0 <= self.poll < math.inf:
+            raise SchedulerError(f"idle poll must be finite and non-negative, got {self.poll!r}")
         self.coordinator = LeaseCoordinator(directory, worker_id=worker_id, ttl=ttl, clock=clock)
         self.directory = Path(directory)
         self.runner = runner if runner is not None else SweepRunner(max_workers=1)
         self.heartbeat = heartbeat
-        if poll is None:
-            poll = env.read_float("REPRO_SERVE_POLL_S")
-        self.poll = float(poll) if poll is not None else DEFAULT_POLL_S
         self.max_points = max_points
         self.abandon_after = abandon_after
         self._sleep = sleep
@@ -1100,10 +1100,9 @@ def run_driver(points: Sequence[SweepPoint], args: argparse.Namespace) -> int:
 def named_grid_points(name: str) -> list[SweepPoint]:
     """Named grids runnable straight from the CLI.
 
-    Shared with the serve front (``python -m repro.experiments.serve
-    submit``), so every orchestration layer names grids identically.  The
-    figure drivers are imported lazily: they import this module for their
-    own ``--dir`` flag, and the serve CLI stays cheap until a grid is built.
+    The figure drivers are imported lazily: they import this module for
+    their own ``--dir`` flag, and ``--help``, ``status`` and ``merge`` stay
+    cheap until a grid is built.
     """
     from repro.experiments.cswap_study import cswap_study_points
     from repro.experiments.fidelity_sweep import fidelity_sweep_points

@@ -2,12 +2,12 @@
 
 The contract (ISSUE 9 acceptance): every figure artifact computed through
 the artifact graph is **byte-identical** to the same grid run directly
-through ``SweepRunner`` — CSV and JSON, cold and warm, in-process or
-drained through the lease scheduler — and shared upstream artifacts
-evaluate at most once, audited through the compile log, compile counts
-and the simulations each point ran.  With ``$REPRO_CACHE_DIR`` the table provider's per-point
-result layer replays each simulated point's result, so a warm rerun
-simulates nothing and still writes the same bytes.
+through ``SweepRunner`` — CSV and JSON, cold and warm — and shared
+upstream artifacts evaluate at most once, audited through the compile
+log, compile counts and the simulations each point ran.  With
+``$REPRO_CACHE_DIR`` the table provider's per-point result layer replays
+each simulated point's result, so a warm rerun simulates nothing and
+still writes the same bytes.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from repro.artifacts import (
     SweepTableArtifact,
     build_graph,
 )
-from repro.artifacts.figures import compute_table, scheduler_table_executor
+from repro.artifacts.figures import compute_table
 from repro.core.compile_cache import CompileCache, get_cache, reset_cache
 from repro.experiments.cswap_study import cswap_study_points
 from repro.experiments.fidelity_sweep import fidelity_sweep_points, run_fidelity_sweep
@@ -62,11 +62,11 @@ def direct_run(points, out_dir, label="direct"):
     return runner, evaluations
 
 
-def graph_run(points, out_dir, label="graph", name="table", executor=None):
+def graph_run(points, out_dir, label="graph", name="table"):
     runner = SweepRunner(
         max_workers=1, csv_path=out_dir / f"{label}.csv", json_path=out_dir / f"{label}.json"
     )
-    evaluations = compute_table(points, runner, name=name, executor=executor)
+    evaluations = compute_table(points, runner, name=name)
     return runner, evaluations
 
 
@@ -100,15 +100,6 @@ class TestByteIdentity:
         )
         direct, direct_evals = direct_run(points, tmp_path)
         assert sweep_rows(points, evaluations) == sweep_rows(points, direct_evals)
-
-    def test_scheduler_executor_is_byte_identical(self, tmp_path, shared_cache):
-        points = named_grid_points("fig7-mini")
-        direct, _ = direct_run(points, tmp_path)
-        executor = scheduler_table_executor(tmp_path / "jobs", num_workers=2)
-        graph, rows = graph_run(points, tmp_path, name="fig7", executor=executor)
-        assert graph.csv_path.read_bytes() == direct.csv_path.read_bytes()
-        assert graph.json_path.read_bytes() == direct.json_path.read_bytes()
-        assert len(rows) == len(points)
 
 
 class TestAtMostOnceAcrossFigures:

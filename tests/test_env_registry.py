@@ -31,13 +31,15 @@ def test_unregistered_knob_is_rejected() -> None:
         env.knob("PATH")
 
 
-#: Knobs of the deleted no-jump record store and fixed-count fast path.
+#: Knobs of the deleted no-jump record store, fixed-count fast path and
+#: sweep-service front.
 REMOVED_KNOBS = (
     "REPRO_NO_FASTPATH",
     "REPRO_FASTPATH_STRIDE",
     "REPRO_FASTPATH_MEMORY_MB",
     "REPRO_FASTPATH_MIN_TRAJ",
     "REPRO_FASTPATH_SPEEDUP_GATE",
+    "REPRO_SERVE_POLL_S",
 )
 
 

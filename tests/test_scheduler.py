@@ -131,6 +131,17 @@ def make_job(directory, points=None, policy="fifo", **plan_kwargs):
     return spec
 
 
+def run_fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that sees only ``src``."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=120,
+    )
+
+
 def make_worker(directory, worker_id, clock, ttl=10.0, **kwargs):
     kwargs.setdefault("runner", SweepRunner(max_workers=1))
     kwargs.setdefault("heartbeat", False)
@@ -433,6 +444,23 @@ class TestLeaseProtocol:
         b.complete(successor)  # benign double execution: byte-identical marker
         assert (directory / "done" / "00000.json").read_bytes() == first
 
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_ttl_must_be_finite_and_positive(self, ttl, tmp_path):
+        # A NaN deadline never compares as expired, so the lease of a dead
+        # worker would never be reclaimed and the job would never drain.
+        directory = tmp_path / "job"
+        make_job(directory, mini_points()[:1])
+        with pytest.raises(SchedulerError, match="lease ttl"):
+            LeaseCoordinator(directory, worker_id="a", ttl=ttl)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    def test_ttl_from_the_environment_is_checked_too(self, value, tmp_path, monkeypatch):
+        directory = tmp_path / "job"
+        make_job(directory, mini_points()[:1])
+        monkeypatch.setenv("REPRO_LEASE_TTL", value)
+        with pytest.raises(SchedulerError, match="lease ttl"):
+            LeaseCoordinator(directory, worker_id="a")
+
 
 # ---------------------------------------------------------------------------
 # the worker loop
@@ -553,6 +581,29 @@ class TestLeasedWorker:
         (first / "workers" / "w0").rename(second / "workers" / "w0")
         with pytest.raises(SchedulerError, match="different job"):
             make_worker(second, "w0", clock)
+
+    @pytest.mark.parametrize("poll", [-1.0, float("nan"), float("inf")])
+    def test_poll_must_be_finite_and_non_negative(self, poll, tmp_path):
+        directory = tmp_path / "job"
+        make_job(directory, mini_points()[:1])
+        with pytest.raises(SchedulerError, match="idle poll"):
+            make_worker(directory, "w0", FakeClock(), poll=poll)
+        assert not (directory / "workers").exists()
+
+    def test_zero_poll_is_a_valid_busy_poll(self, tmp_path):
+        directory = tmp_path / "job"
+        make_job(directory, mini_points()[:1])
+        clock = FakeClock()
+        LeaseCoordinator(directory, worker_id="holder", ttl=10, clock=clock).acquire()
+        naps = []
+
+        def sleep(seconds):
+            naps.append(seconds)
+            clock.advance(5.0)
+
+        report = make_worker(directory, "w0", clock, poll=0.0, sleep=sleep, max_points=1).run()
+        assert report.num_completed == 1
+        assert naps == [0.0, 0.0]  # idle until the held lease expires at t+10
 
     def test_max_points_stops_early_without_draining(self, tmp_path, shared_cache):
         directory = tmp_path / "job"
@@ -996,3 +1047,40 @@ class TestCommandLine:
         assert scheduler.main(work) == 1
         status = job_status(directory)
         assert status["failed"] == 1 and status["done"] == len(points) - 1
+
+    @pytest.mark.parametrize("flag", [["--ttl", "nan"], ["--poll", "-1"]])
+    def test_work_rejects_bad_timing_flags(self, flag, tmp_path, capsys):
+        directory = tmp_path / "job"
+        make_job(directory, mini_points()[:1])
+        assert scheduler.main(["work", "--dir", str(directory), *flag]) == 2
+        assert "error:" in capsys.readouterr().out
+        assert job_status(directory)["pending"] == 1
+
+    def test_help_runs_clean_in_a_subprocess(self):
+        result = run_fresh_python("-m", "repro.experiments.scheduler", "--help")
+        assert result.returncode == 0, result.stderr
+        for command in ("plan", "work", "status", "retry", "merge"):
+            assert command in result.stdout
+
+
+class TestLazyImports:
+    def test_scheduler_import_does_not_pull_figure_drivers(self):
+        """The figure drivers import the scheduler, never the reverse at import time."""
+        script = (
+            "import sys; import repro.experiments.scheduler; "
+            "heavy = [name for name in sys.modules "
+            "if 'fidelity_sweep' in name or 'cswap_study' in name]; "
+            "print('clean' if not heavy else 'leaked: ' + ', '.join(heavy))"
+        )
+        result = run_fresh_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "clean", result.stdout
+
+    def test_package_lazily_re_exports_scheduler_names(self):
+        import repro.experiments as experiments
+
+        assert experiments.LeaseCoordinator is LeaseCoordinator
+        assert experiments.plan_job is plan_job
+        for name in ("no_such_name", "submit_job", "watch_job", "queue_status"):
+            with pytest.raises(AttributeError):
+                getattr(experiments, name)

@@ -159,6 +159,12 @@ REGIONS: tuple[Region, ...] = (
     _program("_classify"),
     _program("_Fuser._build"),
     _program("compile_program"),
+    _program("TrajectoryProgram"),
+    _program("placement_levels"),
+    _program("_initial_levels"),
+    _program("_image_levels"),
+    _program("_reachable_levels"),
+    _program("_restricted_block"),
     # Draw replay (noise/fastpath.py): the adaptive prescan's classification.
     _replay("draw_schedule"),
     _replay("_scan_segment"),

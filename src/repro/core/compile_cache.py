@@ -72,7 +72,9 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: v6: ``single`` kernels carry the float64 ``real`` part of a real unitary
 #: (applied as one float64 einsum, same bits), and depolarizing draws reuse
 #: cached error factors.
-CACHE_SCHEMA_VERSION = 6
+#: v7: programs simulate a register truncated to each device's reachable
+#: levels; kernels, idle tables and error factors are built on it.
+CACHE_SCHEMA_VERSION = 7
 
 #: Default capacity of the in-process LRU front (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256

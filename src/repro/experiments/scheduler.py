@@ -461,7 +461,10 @@ class LeaseCoordinator:
         if "/" in self.worker_id or not self.worker_id:
             raise SchedulerError(f"worker_id {self.worker_id!r} must be a non-empty path segment")
         if ttl is None:
-            ttl = env.read_float("REPRO_LEASE_TTL")
+            try:
+                ttl = env.read_float("REPRO_LEASE_TTL")
+            except ValueError as error:
+                raise SchedulerError(f"lease ttl from REPRO_LEASE_TTL: {error}") from None
         self.ttl = float(ttl) if ttl is not None else DEFAULT_LEASE_TTL
         # A NaN deadline never compares as passed, so its lease would never
         # be reclaimed; an infinite one never expires either.

@@ -71,9 +71,10 @@ __all__ = [
 #: Trajectories per vectorized block handed to the batched engine.
 DEFAULT_BATCH_SIZE = 16
 
-#: Hilbert dimension above which "auto" batching falls back to one-row
-#: blocks: huge statevectors are memory-bandwidth-bound, so vectorizing across
-#: trajectories stops paying (the result is identical either way).
+#: Simulated register size (the program's truncated levels) above which
+#: "auto" batching falls back to one-row blocks: huge statevectors are
+#: memory-bandwidth-bound, so vectorizing across trajectories stops paying
+#: (the result is identical either way).
 _AUTO_BATCH_DIM_LIMIT = 1 << 16
 
 
@@ -212,7 +213,9 @@ def evaluate_point(
 
     if simulation is None and _point_simulates(point):
         simulator = TrajectorySimulator(NoiseModel(coherence=coherence), rng=point.seed)
-        hilbert_dim = int(np.prod(physical.device_dims))
+        # The simulated register: the program's truncated levels, not the
+        # full device dimensions (the simulator memoizes the program).
+        hilbert_dim = int(np.prod(simulator.program_for(physical).dims))
         simulation = simulator.average_fidelity(
             physical,
             num_trajectories=point.num_trajectories,

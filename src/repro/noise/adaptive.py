@@ -290,8 +290,8 @@ def adaptive_average_fidelity(
         raise ValueError("need at least one trajectory")
     per_round = adaptive_round_size()
     worker_count = resolve_workers(workers)
-    sampler = initial_state_sampler or _default_state_sampler(physical)
     program = simulator.program_for(physical)
+    sampler = initial_state_sampler or _default_state_sampler(physical, program.dims)
 
     g_stats = RunningStats()  # the estimator (stopping statistic)
     naive_stats = RunningStats()  # what fixed-count sampling would have seen

@@ -18,7 +18,11 @@ floating-point operations in the same order whatever the block size (see
 one-row blocks under the same seed — enforced by
 ``tests/test_batched_trajectory.py`` against a frozen scalar trajectory
 loop kept in the tests, and by ``tests/test_block_size_invariance.py`` on
-4^9-dimensional registers.
+registers of 2^15 and more amplitudes.
+
+The block holds the program's register, truncated to the levels its
+trajectories can reach (:mod:`repro.noise.program`); input states enter it
+through :meth:`~repro.noise.program.TrajectoryProgram.restrict`.
 """
 
 from __future__ import annotations
@@ -131,21 +135,35 @@ class BatchedTrajectoryEngine:
 
     # -- host <-> backend --------------------------------------------------------
     def _to_work(self, states: np.ndarray):
-        """Copy input states into the working block on the backend's device."""
-        states = np.array(states, dtype=np.complex128)
+        """Copy input states into the working block on the backend's device.
+
+        Rows on the full physical register are cut down to the program's
+        register (:meth:`TrajectoryProgram.restrict`, which raises on
+        amplitude outside it).
+        """
+        states = self.program.restrict(states)
         if self.backend.host_memory:
             return states
         return self.backend.asarray(states)
 
-    def _to_host(self, states) -> np.ndarray:
-        if self.backend.host_memory:
-            return states
-        return self.backend.to_numpy(states)
+    def _to_host(self, states, width: int | None = None) -> np.ndarray:
+        """The block on the host; zero-filled onto the full register when the
+        caller's rows were ``width`` amplitudes wide and the program's are not."""
+        if not self.backend.host_memory:
+            states = self.backend.to_numpy(states)
+        if width is not None and width != states.shape[1]:
+            states = self.program.expand(states)
+        return states
 
     # -- execution ---------------------------------------------------------------
     def run_ideal(self, states: np.ndarray) -> np.ndarray:
-        """Evolve a ``(batch, dim)`` block without noise."""
+        """Evolve a ``(batch, dim)`` block without noise.
+
+        Rows may be on the full physical register or on the program's
+        register; the result comes back on the same one.
+        """
         backend = self.backend
+        width = states.shape[1]
         states = self._to_work(states)
         scratch = backend.empty_like(states)
         for step in self.program.ideal_steps:
@@ -156,7 +174,7 @@ class BatchedTrajectoryEngine:
                 states, scratch = scratch, states
             else:
                 states = result  # in-place kernels return states; others may be fresh
-        return self._to_host(states)
+        return self._to_host(states, width)
 
     def run_trajectories(
         self, states: np.ndarray, streams: Sequence[np.random.Generator]
@@ -180,13 +198,16 @@ class BatchedTrajectoryEngine:
         stream already advanced to that point (later-deviating sub-batches
         are concatenated at their own segment boundary, so one growing block
         replays every suffix).  ``start=0``/``stop=None`` is the full
-        :meth:`run_trajectories` evolution.
+        :meth:`run_trajectories` evolution.  Rows may be on the full
+        physical register or on the program's register; the result comes
+        back on the same one.
         """
         backend = self.backend
         if states.shape[0] != len(streams):
             raise ValueError("need exactly one RNG stream per trajectory")
         if not 0 <= start <= len(self.program.steps):
             raise ValueError(f"start must be a step index, got {start}")
+        width = states.shape[1]
         states = self._to_work(states)
         scratch = backend.empty_like(states)
         for step in self.program.steps[start:stop]:
@@ -202,7 +223,7 @@ class BatchedTrajectoryEngine:
                     states = self._noise_event(self._apply_gate_error, states, step, streams)
             else:
                 states = self._noise_event(self._apply_idle, states, step, streams)
-        return self._to_host(states)
+        return self._to_host(states, width)
 
     def _noise_event(self, apply, states, step, streams):
         """Run one host-side noise helper, round-tripping device blocks."""
@@ -220,9 +241,11 @@ class BatchedTrajectoryEngine:
         """Sample one initial state per stream and return per-trajectory fidelities.
 
         Each stream is consumed in the same order at any block size: first
-        the initial-state draw, then that trajectory's noise decisions.
+        the initial-state draw, then that trajectory's noise decisions.  The
+        drawn states are cut down to the program's register once, so both
+        evolutions and the overlaps run on it.
         """
-        initials = np.array([sampler(stream) for stream in streams], dtype=np.complex128)
+        initials = self.program.restrict(np.array([sampler(stream) for stream in streams]))
         ideal = self.run_ideal(initials)
         noisy = self.run_trajectories(initials, streams)
         # The overlap is taken on fresh copies: BLAS dot products are

@@ -488,7 +488,7 @@ def _prescan_block(
     STATS.records_built += count
 
     probes = [_clone_generator(stream) for stream in streams]
-    initials = np.array([sampler(probe) for probe in probes], dtype=np.complex128)
+    initials = program.restrict(np.array([sampler(probe) for probe in probes]))
     schedule = draw_schedule(program)
     stride = checkpoint_stride(num_steps)
     records = _build_records(engine, initials, stride)
@@ -628,7 +628,7 @@ def _resume_block(
 
     num_steps = len(engine.program.steps)
     # The state draw comes first, exactly like the explicit engines.
-    initials = [sampler(stream) for stream in streams]
+    initials = engine.program.restrict(np.array([sampler(stream) for stream in streams]))
     groups: dict[int, list[int]] = {}
     for j, resume in enumerate(resumes):
         groups.setdefault(resume.restore, []).append(j)

@@ -85,7 +85,7 @@ def _make_context(
     return {
         "simulator": simulator,
         "physical": physical,
-        "sampler": sampler or _default_state_sampler(physical),
+        "sampler": sampler or _default_state_sampler(physical, simulator.program_for(physical).dims),
         "batch_size": batch_size,
     }
 

@@ -48,6 +48,26 @@ axes from the lowest to the highest touched device, applied as one axis-1
 ``take`` of a ``(batch * left, span, right)`` view.  The take is unbuffered
 (numpy ``mode="clip"``), so each index is range-checked when its kernel is
 built and a gather never writes over its input.
+
+**Truncated registers.**  A program simulates only the levels its
+trajectories can reach.  :func:`compile_program` propagates each device's
+reachable levels to a fixed point over the program: it starts from the
+levels the default sampler's placement embedding populates (all levels
+when the circuit has no placement), adds a gate's image from its unitary's
+nonzero pattern over the product of its devices' levels, all levels for a
+full-dimension depolarizing draw, levels ``{0, 1}`` for a qubit-mode draw
+(all levels once level 2 is reachable: the draw acts on a ququart's slot-1
+qubit, so it pairs level 2 with level 3), and level 0 for damping.  Each
+device keeps the prefix ``0..k-1`` up to its highest reachable level, and
+``TrajectoryProgram.dims`` is that truncated register.  Every kernel is
+built on the restricted block ``P U P``, every idle window on the prefix of
+its decay probabilities and every Weyl error factor on the truncated
+levels.  The prefix product is closed under every
+step, so each restricted block is itself unitary (a monomial stays a
+range-checked gather, with no zero-fill).  Inputs enter the register
+through :meth:`TrajectoryProgram.restrict`, which raises on any nonzero
+amplitude outside it.  A device whose levels are all reachable compiles to
+exactly the program of the untruncated register.
 """
 
 from __future__ import annotations
@@ -59,7 +79,7 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.backends.base import ArrayBackend
-from repro.core.physical import PhysicalCircuit, PhysicalOp
+from repro.core.physical import PhysicalCircuit, PhysicalOp, Slot
 from repro.noise.channels import _sample_error_indices, _weyl_factors
 from repro.noise.model import NoiseModel
 from repro.qudit.unitaries import embed_qubit_unitary
@@ -75,6 +95,7 @@ __all__ = [
     "idle_no_jump_terms",
     "no_jump_scales",
     "no_jump_scales_batch",
+    "placement_levels",
     "program_fingerprint",
 ]
 
@@ -420,7 +441,12 @@ class IdleStep:
 
 @dataclass
 class TrajectoryProgram:
-    """A physical circuit compiled against a noise model, ready to execute."""
+    """A physical circuit compiled against a noise model, ready to execute.
+
+    ``dims`` is the simulated register: each device truncated to the levels
+    its trajectories can reach (see the module docstring), so it may be
+    smaller than ``physical.device_dims``.
+    """
 
     physical: PhysicalCircuit
     noise_model: NoiseModel
@@ -428,6 +454,135 @@ class TrajectoryProgram:
     steps: list[GateStep | IdleStep] = field(default_factory=list)
     ideal_steps: list[GateStep] = field(default_factory=list)
     fuse: bool = True  # whether monomial fusion ran (part of the content key)
+
+    def _level_slices(self) -> tuple[slice, ...]:
+        return (slice(None),) + tuple(slice(0, k) for k in self.dims)
+
+    def restrict(self, states: np.ndarray) -> np.ndarray:
+        """A fresh ``(batch, prod(dims))`` copy of a block of statevectors.
+
+        Rows may be given on the full physical register or already on the
+        program's register.  Full rows are cut down to the simulated levels;
+        a nonzero amplitude on any other level raises ``ValueError`` (it is
+        never dropped).
+        """
+        states = np.asarray(states, dtype=np.complex128)
+        full = tuple(self.physical.device_dims)
+        size = math.prod(self.dims)
+        if states.shape[-1] not in (size, math.prod(full)):
+            raise ValueError(
+                f"states have {states.shape[-1]} amplitudes; the register of "
+                f"{full} has {math.prod(full)} (simulated levels {self.dims}: {size})"
+            )
+        if states.shape[-1] == size:
+            return np.array(states)
+        tensor = states.reshape((states.shape[0],) + full)
+        kept = tensor[self._level_slices()]
+        if np.count_nonzero(kept) != np.count_nonzero(tensor):
+            raise ValueError(
+                f"an input state has amplitude outside the levels {self.dims} the "
+                f"program simulates on the register {full}; the levels come from the "
+                "circuit's initial placement"
+            )
+        return np.ascontiguousarray(kept).reshape(states.shape[0], size)
+
+    def expand(self, states: np.ndarray) -> np.ndarray:
+        """Zero-fill a ``(batch, prod(dims))`` block onto the full physical register."""
+        full = tuple(self.physical.device_dims)
+        if self.dims == full:
+            return states
+        tensor = np.zeros((states.shape[0],) + full, dtype=states.dtype)
+        tensor[self._level_slices()] = states.reshape((states.shape[0],) + self.dims)
+        return tensor.reshape(states.shape[0], -1)
+
+
+def placement_levels(physical: PhysicalCircuit) -> np.ndarray | None:
+    """Per device, the level each embedded logical basis state populates.
+
+    Row ``d`` gives device ``d``'s level for every logical basis index
+    (logical qubit 0 is the most significant bit), as the default sampler's
+    placement embedding lays it out: the qubit in a ququart's slot 0 sets
+    level 2 and the one in slot 1 level 1; a 2-level device holds its qubit
+    in slot 1.  ``None`` without a placement: the default sampler then
+    draws over the whole register.
+    """
+    placement = physical.initial_placement
+    num_qubits = physical.num_logical_qubits
+    if placement is None or num_qubits is None:
+        return None
+    basis = np.arange(2**num_qubits)
+    levels = np.zeros((physical.num_devices, basis.size), dtype=np.int64)
+    for device in range(physical.num_devices):
+        for slot, weight in ((0, 2), (1, 1)):
+            qubit = placement.qubit_at(Slot(device, slot))
+            if qubit is not None:
+                levels[device] += weight * ((basis >> (num_qubits - 1 - qubit)) & 1)
+    return levels
+
+
+def _initial_levels(physical: PhysicalCircuit) -> list[int]:
+    """Per device, 1 + the highest level the default sampler can populate."""
+    levels = placement_levels(physical)
+    if levels is None:
+        return list(physical.device_dims)
+    return [int(row.max()) + 1 for row in levels]
+
+
+def _image_levels(unitary: np.ndarray, op_dims: tuple[int, ...], levels: tuple[int, ...]) -> tuple[int, ...]:
+    """Per device, 1 + the highest level ``unitary`` reaches from prefix ``levels``."""
+    allowed = np.zeros(op_dims, dtype=bool)
+    allowed[tuple(slice(0, k) for k in levels)] = True
+    reached = np.any(unitary[:, allowed.reshape(-1)] != 0, axis=1).reshape(op_dims)
+    return tuple(int(axis.max()) + 1 for axis in np.nonzero(reached))
+
+
+def _reachable_levels(physical: PhysicalCircuit, gate_steps: list[GateStep]) -> tuple[int, ...]:
+    """Per device, the prefix of levels closed under every step of the program.
+
+    Starts from :func:`_initial_levels` and grows each device's prefix until
+    no gate image, depolarizing draw or damping jump leaves the product of
+    prefixes.  Damping only adds level 0, which every prefix holds.  The
+    result never depends on the ops' ``sets_mode`` annotations: a lone qubit
+    in slot 0 is annotated with mode 2 but populates levels 1 and 3 after a
+    full-dimension depolarizing draw.
+    """
+    full = physical.device_dims
+    levels = _initial_levels(physical)
+    unitaries = [physical.op_unitary(step.op) for step in gate_steps]  # keeps each id unique
+    images: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+    changed = True
+    while changed:
+        changed = False
+        for step, unitary in zip(gate_steps, unitaries):
+            devices = step.op.devices
+            before = tuple(levels[d] for d in devices)
+            key = (id(unitary), before)
+            if key not in images:
+                images[key] = _image_levels(unitary, tuple(full[d] for d in devices), before)
+            after = images[key]
+            if step.error_dims is not None:
+                # A full-dimension Weyl draw shifts through every level; a
+                # qubit-mode draw acts on a ququart's slot-1 qubit (level
+                # pairs 0-1 and 2-3), so it also fills a device holding level 2.
+                after = tuple(
+                    full[d] if err == full[d] or level > 2 else max(level, 2)
+                    for d, err, level in zip(devices, step.error_dims, after)
+                )
+            for device, level in zip(devices, after):
+                if level > levels[device]:
+                    levels[device] = level
+                    changed = True
+    return tuple(levels)
+
+
+def _restricted_block(unitary: np.ndarray, op_dims: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
+    """``P U P`` of an op's unitary on the prefix ``levels`` of its devices."""
+    if levels == op_dims:
+        return unitary
+    keep = np.zeros(op_dims, dtype=bool)
+    keep[tuple(slice(0, k) for k in levels)] = True
+    index = np.flatnonzero(keep)
+    return np.ascontiguousarray(unitary[np.ix_(index, index)])
 
 
 def compile_program(
@@ -441,30 +596,70 @@ def compile_program(
     depolarizing draw, and trailing idle events for every device after the
     last op.  ``ideal_steps`` replays the plain op list without noise.
 
+    The register is truncated to the reachable levels of each device (see
+    the module docstring); the events, their RNG consumption and the
+    depolarizing draws' ``error_dims`` are those of the full register.
+
     ``fuse=True`` (the default) collapses runs of consecutive
     diag/perm/monomial kernels into single fused gather-multiplies wherever
     that provably changes no rounding; a fused program is bit-for-bit
     equivalent to the unfused one at every block size.
     """
-    dims = tuple(physical.device_dims)
-    program = TrajectoryProgram(physical=physical, noise_model=noise_model, dims=dims, fuse=fuse)
+    full = tuple(physical.device_dims)
     schedule = physical.schedule()
     last_busy = {device: 0.0 for device in range(physical.num_devices)}
     modes = {
         device: physical.initial_modes.get(device, 0)
         for device in range(physical.num_devices)
     }
-    kernel_cache: dict[tuple[int, tuple[int, ...]], _Kernel] = {}
+    # Events first, with kernels and idle tables left for the truncated
+    # register: an idle event is its (device, idle_ns) pair.
+    events: list[GateStep | tuple[int, float]] = []
+    for item in schedule:
+        op = item.op
+        if noise_model.amplitude_damping_enabled:
+            for device in op.devices:
+                idle = item.start - last_busy[device]
+                if idle > 0:
+                    events.append((device, idle))
+        step = GateStep(op=op, kernel=None)
+        if noise_model.depolarizing_enabled and op.error_rate > 0.0:
+            step.error_dims = tuple(
+                2 if modes.get(device, 0) <= 1 else full[device] for device in op.devices
+            )
+            step.error_rate = op.error_rate
+        events.append(step)
+        for device in op.devices:
+            last_busy[device] = item.end
+        for device, new_mode in op.sets_mode:
+            modes[device] = new_mode
+
+    if noise_model.amplitude_damping_enabled:
+        total = max((item.end for item in schedule), default=0.0)
+        for device in range(physical.num_devices):
+            idle = total - last_busy[device]
+            if idle > 0:
+                events.append((device, idle))
+
+    # The noisy steps hold every op of the ideal path too, so their fixed
+    # point covers both.
+    dims = _reachable_levels(physical, [event for event in events if isinstance(event, GateStep)])
+    program = TrajectoryProgram(physical=physical, noise_model=noise_model, dims=dims, fuse=fuse)
+    kernel_cache: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, _Kernel]] = {}
     gather_budget = [_MAX_GATHER_ENTRIES]
 
     def kernel_for(op: PhysicalOp) -> _Kernel:
         unitary = physical.op_unitary(op)
         key = (id(unitary), op.devices)
-        kernel = kernel_cache.get(key)
-        if kernel is None:
-            kernel = _classify(unitary, op.devices, dims, gather_budget)
-            kernel_cache[key] = kernel
-        return kernel
+        cached = kernel_cache.get(key)
+        if cached is None:
+            block = _restricted_block(
+                unitary, tuple(full[d] for d in op.devices), tuple(dims[d] for d in op.devices)
+            )
+            # The entry pins the full unitary, so its id stays unique.
+            cached = (unitary, _classify(block, op.devices, dims, gather_budget))
+            kernel_cache[key] = cached
+        return cached[1]
 
     def idle_step(device: int, idle_ns: float) -> IdleStep:
         dim = dims[device]
@@ -477,34 +672,13 @@ def compile_program(
             reshape=_span_reshape((device,), dims),
         )
 
-    for item in schedule:
-        op = item.op
-        if noise_model.amplitude_damping_enabled:
-            for device in op.devices:
-                idle = item.start - last_busy[device]
-                if idle > 0:
-                    program.steps.append(idle_step(device, idle))
-        step = GateStep(op=op, kernel=kernel_for(op))
-        if noise_model.depolarizing_enabled and op.error_rate > 0.0:
-            step.error_dims = tuple(
-                2 if modes.get(device, 0) <= 1 else dims[device] for device in op.devices
-            )
-            step.error_rate = op.error_rate
-        program.steps.append(step)
-        for device in op.devices:
-            last_busy[device] = item.end
-        for device, new_mode in op.sets_mode:
-            modes[device] = new_mode
-
-    if noise_model.amplitude_damping_enabled:
-        total = max((item.end for item in schedule), default=0.0)
-        for device in range(physical.num_devices):
-            idle = total - last_busy[device]
-            if idle > 0:
-                program.steps.append(idle_step(device, idle))
-
-    for op in physical.ops:
-        program.ideal_steps.append(GateStep(op=op, kernel=kernel_for(op)))
+    for event in events:
+        if isinstance(event, GateStep):
+            event.kernel = kernel_for(event.op)
+            program.steps.append(event)
+        else:
+            program.steps.append(idle_step(*event))
+    program.ideal_steps = [GateStep(op=op, kernel=kernel_for(op)) for op in physical.ops]
 
     if fuse:
         fuser = _Fuser(dims)
@@ -867,8 +1041,9 @@ def sample_gate_error(
 def _error_factor(err_dim: int, actual_dim: int, local: int) -> np.ndarray:
     """Weyl factor ``local`` of an ``err_dim`` device lifted onto ``actual_dim``.
 
-    A qubit-mode factor on a ququart acts on levels ``|0>, |1>``; the result
-    is read-only and shared between draws.
+    A qubit-mode factor on a ququart acts on its slot-1 qubit (the low bit
+    of the level); on a ququart truncated to levels ``|0>, |1>`` that is the
+    factor itself.  The result is read-only and shared between draws.
     """
     factor = _weyl_factors(err_dim)[local]
     if err_dim == actual_dim:

@@ -37,11 +37,10 @@ import numpy as np
 from repro.backends import resolve_backend
 from repro.backends.base import ArrayBackend
 from repro.core.compiler import CompilationResult
-from repro.core.encoding import embed_logical_state
 from repro.core.physical import PhysicalCircuit
 from repro.noise.model import NoiseModel
 from repro.noise.batched import BatchedTrajectoryEngine
-from repro.noise.program import TrajectoryProgram, cached_compile_program
+from repro.noise.program import TrajectoryProgram, cached_compile_program, placement_levels
 from repro.qudit.random import haar_random_state
 
 __all__ = ["TrajectoryResult", "TrajectorySimulator", "simulate_fidelity"]
@@ -218,7 +217,7 @@ class TrajectorySimulator:
                     host_memory=self.backend.host_memory,
                 )
                 return TrajectoryResult(fidelities=fidelities)
-        sampler = initial_state_sampler or _default_state_sampler(physical)
+        sampler = initial_state_sampler or _default_state_sampler(physical, self.program_for(physical).dims)
         return TrajectoryResult(
             fidelities=self._fidelities_for_streams(physical, streams, sampler, batch_size)
         )
@@ -251,18 +250,29 @@ class TrajectorySimulator:
 
 
 def _default_state_sampler(
-    physical: PhysicalCircuit,
+    physical: PhysicalCircuit, dims: Sequence[int] | None = None
 ) -> Callable[[np.random.Generator], np.ndarray]:
-    """Return a sampler producing Haar-random logical states embedded physically."""
-    placement = physical.initial_placement
-    num_qubits = physical.num_logical_qubits
-    if placement is None or num_qubits is None:
+    """Return a sampler producing Haar-random logical states embedded physically.
+
+    ``dims`` is the register the states land on: a program's truncated
+    levels (``TrajectoryProgram.dims``), by default the full physical
+    register.  Either way a draw consumes the same logical Haar sample and
+    puts each amplitude on the levels
+    :func:`~repro.core.encoding.embed_logical_state` puts it on; every other
+    amplitude is zero.
+    """
+    levels = placement_levels(physical)
+    if levels is None:
         # Fall back to Haar-random states over the full physical space.
         return lambda rng: haar_random_state(physical.device_dims, rng)
+    dims = tuple(physical.device_dims) if dims is None else tuple(dims)
+    index = np.ravel_multi_index(tuple(levels), dims)
+    size = math.prod(dims)
 
     def sampler(rng: np.random.Generator) -> np.ndarray:
-        logical = haar_random_state(2**num_qubits, rng)
-        return embed_logical_state(logical, placement, physical.device_dims)
+        state = np.zeros(size, dtype=np.complex128)
+        state[index] = haar_random_state(levels.shape[1], rng)
+        return state
 
     return sampler
 

@@ -78,10 +78,7 @@ def _error_superoperator(
     to the library's element, and lifted factor by factor.
     """
     operators = depolarizing_operators(error_dims)
-    options = [
-        [np.eye(dim, dtype=np.complex128)] + depolarizing_operators((dim,))
-        for dim in error_dims
-    ]
+    options = [[np.eye(dim, dtype=np.complex128)] + depolarizing_operators((dim,)) for dim in error_dims]
     combos = [()]
     for device_options in options:
         combos = [combo + (choice,) for combo in combos for choice in range(len(device_options))]

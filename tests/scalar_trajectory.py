@@ -95,10 +95,11 @@ def scalar_fidelities(
     Streams are spawned from ``default_rng(seed)`` and inputs drawn with the
     default Haar sampler, exactly as
     ``TrajectorySimulator(noise_model, rng=seed).average_fidelity(...)``
-    does, so the two lists are comparable element by element.
+    does, so the two lists are comparable element by element.  The sampler
+    embeds each input on the program's (truncated) register.
     """
     program = compile_program(physical, noise_model, fuse=fuse)
-    sampler = _default_state_sampler(physical)
+    sampler = _default_state_sampler(physical, program.dims)
     fidelities = []
     for stream in np.random.default_rng(seed).spawn(num_trajectories):
         initial = sampler(stream)

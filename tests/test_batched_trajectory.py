@@ -55,7 +55,7 @@ class TestKernelEquivalence:
         compiled = compile_circuit(_toffoli_circuit(), strategy)
         physical = compiled.physical_circuit
         program = compile_program(physical, NoiseModel())
-        dims = physical.device_dims
+        dims = program.dims
         rng = np.random.default_rng(7)
         batch = np.array([haar_random_state(dims, rng) for _ in range(5)])
         for step in program.ideal_steps:
@@ -68,17 +68,22 @@ class TestKernelEquivalence:
         """Structured kernels implement the same unitary as a dense apply.
 
         Compiled without fusion so every ideal step still maps 1:1 to one
-        op; the fused program is covered by ``TestMonomialFusion``.
+        op; the fused program is covered by ``TestMonomialFusion``.  The
+        kernel runs on the program's truncated register; the reference
+        applies the op's full unitary on the whole register, and its result
+        must stay on the truncated levels (``restrict`` raises otherwise).
         """
         compiled = compile_circuit(_toffoli_circuit(), strategy)
         physical = compiled.physical_circuit
         program = compile_program(physical, NoiseModel(), fuse=False)
-        dims = physical.device_dims
+        dims = program.dims
         rng = np.random.default_rng(11)
         state = haar_random_state(dims, rng)
+        full = program.expand(state[None, :])[0]
         for step in program.ideal_steps:
             produced = apply_kernel(state, step.kernel, dims)
-            reference = apply_unitary(state, physical.op_unitary(step.op), step.op.devices, dims)
+            dense = apply_unitary(full, physical.op_unitary(step.op), step.op.devices, physical.device_dims)
+            (reference,) = program.restrict(dense[None, :])
             assert np.allclose(produced, reference), step.op.label
 
     def test_apply_unitary_batch_matches_rowwise(self):

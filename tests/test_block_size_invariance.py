@@ -5,8 +5,13 @@ size (``batch_size``) may change wall-clock and memory, never bits.  The
 small-register suites (``tests/test_batched_trajectory.py``) cannot see a
 divergence that only appears once a row outgrows numpy's einsum buffer, so
 this suite runs the idle-population contraction on 2^14- to 4^9-dimensional
-registers and a whole trajectory program on a 4^9-dimensional one.
+registers and a whole trajectory program on a 2^18-amplitude one: a
+16-qubit mixed-radix program, whose 4^16 device register is truncated to
+the levels its trajectories reach.
 """
+
+import math
+
 
 import numpy as np
 import pytest
@@ -68,24 +73,24 @@ def test_batched_populations_match_each_row_on_large_registers(dims, batch):
 
 
 @pytest.fixture(scope="module")
-def nine_ququart():
-    """A small 9-qubit circuit on nine ququarts (a 4^9 register) idling device 1."""
-    circuit = QuantumCircuit(9, name="block-size-nine-ququart")
+def sixteen_qubit():
+    """A 16-qubit mixed-radix circuit (2^18 simulated amplitudes) idling device 1."""
+    circuit = QuantumCircuit(16, name="block-size-sixteen-qubit")
     circuit.h(0)
     circuit.h(1)
     circuit.h(2)
     circuit.ccx(0, 1, 2)
-    circuit.cx(3, 4)
-    circuit.cx(5, 6)
-    circuit.cx(7, 8)
+    for control in range(3, 15, 2):
+        circuit.cx(control, control + 1)
     circuit.ccx(2, 1, 0)
-    circuit.ccx(6, 7, 8)
+    circuit.ccx(13, 14, 15)
     circuit.cx(1, 2)
     physical = compile_circuit(circuit, Strategy.MIXED_RADIX_CCZ).physical_circuit
-    assert physical.device_dims == (4,) * 9
+    assert physical.device_dims == (4,) * 16
     program = TrajectorySimulator(NoiseModel()).program_for(physical)
+    assert math.prod(program.dims) == 2**18
     idles = [step for step in program.steps if isinstance(step, IdleStep)]
-    assert any(step.reshape == (4, 4, 4**7) for step in idles)  # device 1
+    assert any(step.reshape == (2, 4, 2**15) for step in idles)  # device 1
     return physical
 
 
@@ -98,26 +103,27 @@ def _fixed_count(physical, batch_size=None):
     return simulator.average_fidelity(physical, NUM_TRAJECTORIES, batch_size=batch_size).fidelities
 
 
-def test_block_sizes_agree_on_nine_ququarts(nine_ququart):
+def test_block_sizes_agree_on_sixteen_qubits(sixteen_qubit):
     """``batch_size`` None (one-row blocks), 1 and 2 give the same bits."""
-    one_row = _fixed_count(nine_ququart)
-    assert _fixed_count(nine_ququart, batch_size=1) == one_row
-    assert _fixed_count(nine_ququart, batch_size=2) == one_row
-    assert one_row == scalar_fidelities(nine_ququart, NoiseModel(), SEED, NUM_TRAJECTORIES)
+    one_row = _fixed_count(sixteen_qubit)
+    assert _fixed_count(sixteen_qubit, batch_size=1) == one_row
+    assert _fixed_count(sixteen_qubit, batch_size=2) == one_row
+    assert one_row == scalar_fidelities(sixteen_qubit, NoiseModel(), SEED, NUM_TRAJECTORIES)
 
 
-def test_prescan_clean_fidelities_match_fixed_count(nine_ququart):
+def test_prescan_clean_fidelities_match_fixed_count(sixteen_qubit):
     """The adaptive prescan's clean fidelities are the fixed-count ones."""
-    fixed = _fixed_count(nine_ququart)
+    fixed = _fixed_count(sixteen_qubit)
     simulator = TrajectorySimulator(NoiseModel(), rng=SEED)
     streams = simulator.rng.spawn(NUM_TRAJECTORIES)
+    program = simulator.program_for(sixteen_qubit)
     prescan = prescan_trajectories(
-        nine_ququart,
+        sixteen_qubit,
         simulator.noise_model,
-        simulator.program_for(nine_ququart),
+        program,
         simulator.backend,
         streams,
-        _default_state_sampler(nine_ququart),
+        _default_state_sampler(sixteen_qubit, program.dims),
     )
     clean_rows = np.flatnonzero(prescan.clean)
     assert clean_rows.size >= 2  # the whole round shares one prescan block

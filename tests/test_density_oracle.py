@@ -106,23 +106,17 @@ def _fixed_state(physical, seed):
     return embed_logical_state(logical, physical.initial_placement, physical.device_dims)
 
 
-CASES = [
-    (name, strategy) for name in ("toffoli", "cnu-3", "qram-3") for strategy in Strategy
-]
+CASES = [(name, strategy) for name in ("toffoli", "cnu-3", "qram-3") for strategy in Strategy]
 
 
-@pytest.mark.parametrize(
-    "name,strategy", CASES, ids=[f"{name}-{strategy.name}" for name, strategy in CASES]
-)
+@pytest.mark.parametrize("name,strategy", CASES, ids=[f"{name}-{strategy.name}" for name, strategy in CASES])
 def test_fixed_input_matches_exact_rho(name, strategy):
     physical = _physical(name, strategy)
     state = _fixed_state(physical, 3)
     _check_fixed_input(physical, NoiseModel(), state, TRAJECTORIES, 17, name)
 
 
-@pytest.mark.parametrize(
-    "name,strategy", CASES, ids=[f"{name}-{strategy.name}" for name, strategy in CASES]
-)
+@pytest.mark.parametrize("name,strategy", CASES, ids=[f"{name}-{strategy.name}" for name, strategy in CASES])
 def test_haar_average_matches_exact(name, strategy):
     physical = _physical(name, strategy)
     _check_haar(physical, NoiseModel(), TRAJECTORIES, 29, name)

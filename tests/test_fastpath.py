@@ -372,7 +372,7 @@ class TestFastpathEquality:
         # The standard MCWF case: every trajectory starts from one state.
         # Records are still built per stream and never shared.
         physical = _physical()
-        state = haar_random_state(physical.device_dims, np.random.default_rng(0))
+        state = _default_state_sampler(physical)(np.random.default_rng(0))
 
         def fixed_sampler(rng):
             return state

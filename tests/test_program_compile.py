@@ -535,9 +535,19 @@ def _programs(points, fuse: bool):
     return programs
 
 
-#: Digests of the programs the frozen full-register builders produced (the
-#: span-local programs are hashed through :func:`expand`).
+#: Digests of the programs on their truncated registers (the span-local
+#: programs are hashed through :func:`expand`).
 PINNED_DIGESTS = {
+    ("fig7-mini", True): "faaf0daedf59067d8238569ea76735b8084fd63162065364fdcde444ede9d787",
+    ("fig7-mini", False): "b5db68af62a762b7f31d6d5437005b42e8c1c748da7010cad7289fd7e6b461ef",
+    ("qram-9", True): "9e5f749bb801330510b4b7cd8790e63df638f48a33e529035d750cafd03d64a0",
+    ("qram-9", False): "6ee7d50c7b124aae97f5415d8efd810f932a1c187f6ab6381c2dd2a5d2390288",
+}
+
+#: Digests of the same programs compiled on every level of every device:
+#: the programs the frozen full-register builders produced before
+#: registers were truncated.  A full-level support must keep them.
+FULL_LEVEL_DIGESTS = {
     ("fig7-mini", True): "bae9f441d95a079ce075421f93b8bf486000db3f7916b9bd1a8107bc3611f30c",
     ("fig7-mini", False): "2ca27b196b2127f6ae556ae171feeb4e7e0b6896c2054949cee006d06e5ffcaa",
     ("qram-9", True): "816347f5ef3577d5b578a5919511c2263c56f7c7c2c7ccb68127d2bd1bc2c5a7",
@@ -546,7 +556,8 @@ PINNED_DIGESTS = {
 
 GRIDS = {
     "fig7-mini": lambda: mini_points(num_trajectories=4),
-    # The largest fused program of the Fig. 7 grid (4^9 register).
+    # The largest fused program of the Fig. 7 grid (4^9 register, 4,096
+    # simulated amplitudes).
     "qram-9": lambda: [
         SweepPoint(workload="qram", size=9, strategy="MIXED_RADIX_CCZ", num_trajectories=1)
     ],
@@ -558,3 +569,14 @@ GRIDS = {
 def test_program_digest_is_pinned(grid, fuse):
     programs = _programs(GRIDS[grid](), fuse)
     assert program_digest(programs) == PINNED_DIGESTS[(grid, fuse)]
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_full_level_programs_keep_the_untruncated_digests(grid, fuse, monkeypatch):
+    """Started from every level, the support stays full and the programs are
+    byte for byte the untruncated ones."""
+    monkeypatch.setattr(program_module, "_initial_levels", lambda physical: list(physical.device_dims))
+    programs = _programs(GRIDS[grid](), fuse)
+    assert all(program.dims == program.physical.device_dims for program in programs)
+    assert program_digest(programs) == FULL_LEVEL_DIGESTS[(grid, fuse)]

@@ -453,7 +453,7 @@ class TestLeaseProtocol:
         with pytest.raises(SchedulerError, match="lease ttl"):
             LeaseCoordinator(directory, worker_id="a", ttl=ttl)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "abc"])
     def test_ttl_from_the_environment_is_checked_too(self, value, tmp_path, monkeypatch):
         directory = tmp_path / "job"
         make_job(directory, mini_points()[:1])
@@ -1054,6 +1054,15 @@ class TestCommandLine:
         make_job(directory, mini_points()[:1])
         assert scheduler.main(["work", "--dir", str(directory), *flag]) == 2
         assert "error:" in capsys.readouterr().out
+        assert job_status(directory)["pending"] == 1
+
+    def test_work_rejects_a_malformed_ttl_knob(self, tmp_path, capsys, monkeypatch):
+        """A TTL knob that is not a number exits 2 with ``error:``, no traceback."""
+        directory = tmp_path / "job"
+        make_job(directory, mini_points()[:1])
+        monkeypatch.setenv("REPRO_LEASE_TTL", "abc")
+        assert scheduler.main(["work", "--dir", str(directory), "--no-heartbeat"]) == 2
+        assert "error: lease ttl from REPRO_LEASE_TTL" in capsys.readouterr().out
         assert job_status(directory)["pending"] == 1
 
     def test_help_runs_clean_in_a_subprocess(self):

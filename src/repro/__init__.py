@@ -10,8 +10,7 @@ provides:
   (:mod:`repro.core`),
 * a transmon optimal-control substrate for direct-to-pulse gate synthesis
   (:mod:`repro.pulse`),
-* a qudit noise model and trajectory simulator (:mod:`repro.noise`) over
-  pluggable array backends (:mod:`repro.backends`),
+* a qudit noise model and trajectory simulator (:mod:`repro.noise`),
 * the paper's benchmark workloads (:mod:`repro.workloads`) and evaluation
   drivers for every table and figure (:mod:`repro.experiments`).
 
@@ -24,7 +23,6 @@ Quickstart::
     print(result.duration_ns, simulate_fidelity(result, num_trajectories=50).mean_fidelity)
 """
 
-from repro.backends import ArrayBackend, available_backends, get_backend
 from repro.circuits import Gate, QuantumCircuit
 from repro.core import (
     CompilationResult,
@@ -41,7 +39,6 @@ from repro.topology import CoherenceModel, Device
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArrayBackend",
     "CoherenceModel",
     "CompilationResult",
     "Device",
@@ -53,10 +50,8 @@ __all__ = [
     "QuantumWaltzCompiler",
     "Strategy",
     "TrajectorySimulator",
-    "available_backends",
     "compile_circuit",
     "evaluate_metrics",
-    "get_backend",
     "simulate_fidelity",
     "__version__",
 ]

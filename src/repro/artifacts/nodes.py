@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.backends import resolve_backend_name
 from repro.experiments.sweep import SweepPoint, point_key
 
 __all__ = [
@@ -48,7 +47,7 @@ class CompiledProgramArtifact:
     """One compilation: resolves through the shared compile cache.
 
     The token mirrors the compilation cache key's inputs (workload,
-    size, kwargs, strategy, error factor, resolved backend) without
+    size, kwargs, strategy, error factor) without
     duplicating the key itself — the actual cache key (pass-pipeline
     fingerprint included) is computed by the provider at build time, so a
     compiler change invalidates through ``CACHE_SCHEMA_VERSION`` exactly
@@ -80,7 +79,6 @@ class CompiledProgramArtifact:
                 _kwargs_token(self.workload_kwargs),
                 self.strategy,
                 repr(self.error_factor),
-                f"backend:{resolve_backend_name(None)}",
             ]
         )
 

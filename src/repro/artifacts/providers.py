@@ -94,13 +94,11 @@ def point_result_key(point: Any, physical: Any) -> str:
     Folds the point's identity (:func:`~repro.experiments.sweep.point_key`:
     seed, budget, noise axes, batch size, workload arguments), the compiled
     trajectory program's key (the physical op stream and the noise model the
-    point simulates under), the resolved array backend and
-    ``CACHE_SCHEMA_VERSION``.  Adaptive points also fold the resolved
-    ``REPRO_ADAPTIVE_ROUND`` / ``REPRO_ADAPTIVE_MAX_TRAJ``, which change
-    their results.  ``workers`` and the fast-path knobs stay out: they
+    point simulates under) and ``CACHE_SCHEMA_VERSION``.  Adaptive points
+    also fold the resolved ``REPRO_ADAPTIVE_ROUND`` /
+    ``REPRO_ADAPTIVE_MAX_TRAJ``, which change their results.  ``workers`` and the fast-path knobs stay out: they
     never change a bit.
     """
-    from repro.backends import resolve_backend_name
     from repro.core.compile_cache import CACHE_SCHEMA_VERSION, fingerprint
     from repro.experiments.sweep import point_key
     from repro.noise.model import NoiseModel
@@ -113,7 +111,6 @@ def point_result_key(point: Any, physical: Any) -> str:
         f"schema:{CACHE_SCHEMA_VERSION}",
         point_key(point),
         _program_cache_key(physical, noise_model, True),
-        f"backend:{resolve_backend_name()}",
     ]
     if point.num_trajectories == "auto" or point.target_stderr is not None:
         from repro.noise.adaptive import adaptive_round_size, default_max_trajectories

@@ -1,122 +1,10 @@
-"""Pluggable array backends for the statevector kernel layer.
+"""Home of :func:`repro.backends.numpy_backend.take_batch`, the kernels'
+unbuffered gather.
 
-The trajectory kernels (:mod:`repro.noise.program`) and the vectorized
-engine (:mod:`repro.noise.batched`) dispatch every array operation through an
-:class:`~repro.backends.base.ArrayBackend`:
-
-* ``numpy`` — the host reference implementation, always available; routing
-  through it is bit-for-bit identical to the pre-backend hard-coded path,
-* ``cupy`` / ``torch`` — optional accelerator adapters, auto-detected and
-  reported unavailable (never import errors at module scope) when the
-  library is absent.
-
-Selection: an explicit ``backend=`` argument wins, then the
-``REPRO_BACKEND`` environment variable, then the numpy default.  Backend
-instances are cached per name — kernels share one instance (and therefore
-one host→device constant cache) per process.
+The trajectory kernels (:mod:`repro.noise.program`) call numpy directly;
+this package holds only the one primitive that does more than one numpy
+call.  It stays a module of its own because the benchmark's traced mode
+(``perfbench/spans.py``) imports ``repro.backends.numpy_backend``; a change
+to the benchmark can drop that import and move ``take_batch`` into
+:mod:`repro.noise.program`.
 """
-
-from __future__ import annotations
-
-from repro.backends.base import ArrayBackend, BackendUnavailable
-from repro.backends.cupy_backend import CupyBackend
-from repro.backends.numpy_backend import NumpyBackend
-from repro.backends.torch_backend import TorchBackend
-from repro.core import env
-
-__all__ = [
-    "ArrayBackend",
-    "BackendUnavailable",
-    "CupyBackend",
-    "NumpyBackend",
-    "TorchBackend",
-    "available_backends",
-    "build_backend",
-    "get_backend",
-    "is_registered",
-    "resolve_backend",
-    "resolve_backend_name",
-]
-
-#: Environment variable naming the default backend for this process.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_REGISTRY: dict[str, type[ArrayBackend]] = {
-    "numpy": NumpyBackend,
-    "cupy": CupyBackend,
-    "torch": TorchBackend,
-}
-
-_INSTANCES: dict[str, ArrayBackend] = {}
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends whose libraries import on this machine."""
-    return tuple(name for name, cls in _REGISTRY.items() if cls.is_available())
-
-
-def resolve_backend_name(name: str | None = None) -> str:
-    """Normalize a backend name: explicit argument, then ``$REPRO_BACKEND``,
-    then the numpy default.
-
-    This is the single resolution path shared by :func:`get_backend` and by
-    cache-key construction (``repro.core.compile_cache``), so the name an
-    artifact is keyed under can never drift from the backend that serves the
-    kernels.  The name is *not* validated here — instantiation is what
-    validates (and may fail for uninstalled backends), and compile-only
-    paths must not require the backend library to be importable.
-    """
-    if name is None:
-        name = env.read_raw(BACKEND_ENV_VAR) or "numpy"
-    return name.strip().lower()
-
-
-def get_backend(name: str | None = None) -> ArrayBackend:
-    """Return the backend instance for ``name`` (cached per process).
-
-    ``None`` falls back to ``$REPRO_BACKEND``, then to ``"numpy"``.  Unknown
-    names raise ``ValueError`` listing the registry; known-but-uninstalled
-    backends raise :class:`BackendUnavailable` with install guidance.
-    """
-    name = resolve_backend_name(name)
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown array backend {name!r}; known backends: {sorted(_REGISTRY)}, "
-            f"available here: {list(available_backends())}"
-        )
-    instance = cls()
-    _INSTANCES[name] = instance
-    return instance
-
-
-def resolve_backend(backend: ArrayBackend | str | None) -> ArrayBackend:
-    """Coerce an ``ArrayBackend | str | None`` argument to an instance."""
-    if isinstance(backend, ArrayBackend):
-        return backend
-    return get_backend(backend)
-
-
-def is_registered(name: str) -> bool:
-    """Whether ``name`` can be rebuilt from the registry (worker processes)."""
-    return name in _REGISTRY
-
-
-def build_backend(name: str, kwargs: dict | None = None) -> ArrayBackend:
-    """Rebuild a backend from a :meth:`ArrayBackend.spawn_spec` in a worker.
-
-    Specs without constructor kwargs reuse the process-cached instance;
-    parameterized specs construct a fresh instance so worker state (device
-    selection, caches) matches the parent's configuration exactly.
-    """
-    if not kwargs:
-        return get_backend(name)
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown array backend {name!r}; known backends: {sorted(_REGISTRY)}"
-        )
-    return cls(**kwargs)

@@ -7,9 +7,8 @@ workers, repeated benchmark runs, and leased workers on other machines —
 through a content-addressed store:
 
 * the **key** is a SHA-256 over the circuit's op stream, the strategy, the
-  device topology, the error model, the resolved array backend and
-  :data:`CACHE_SCHEMA_VERSION` (bumping the version invalidates every
-  artifact written by older code),
+  device topology, the error model and :data:`CACHE_SCHEMA_VERSION`
+  (bumping the version invalidates every artifact written by older code),
 * the **value** is the pickled artifact, published atomically through
   :mod:`repro.core.storage` under ``$REPRO_CACHE_DIR`` so concurrent
   writers can never publish a torn file,
@@ -74,7 +73,8 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: cached error factors.
 #: v7: programs simulate a register truncated to each device's reachable
 #: levels; kernels, idle tables and error factors are built on it.
-CACHE_SCHEMA_VERSION = 7
+#: v8: the kernels run on numpy alone; no key carries an array-backend token.
+CACHE_SCHEMA_VERSION = 8
 
 #: Default capacity of the in-process LRU front (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256
@@ -139,15 +139,8 @@ def compilation_cache_key(
     strategy: str,
     device,
     error_model,
-    backend: str,
 ) -> str:
-    """Key of one ``QuantumWaltzCompiler.compile`` invocation's result.
-
-    ``backend`` is the *resolved* array backend name: compiled artifacts are
-    consumed by backend-specific kernel compilation downstream, so a process
-    that switches ``REPRO_BACKEND`` must never be served an artifact keyed
-    under different backend assumptions.
-    """
+    """Key of one ``QuantumWaltzCompiler.compile`` invocation's result."""
     return fingerprint(
         [
             "compilation",
@@ -156,7 +149,6 @@ def compilation_cache_key(
             f"strategy:{strategy}",
             device_token(device),
             error_model_token(error_model),
-            f"backend:{backend}",
         ]
     )
 

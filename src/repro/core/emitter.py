@@ -322,7 +322,7 @@ class OpEmitter:
     def emit_three_qubit_native(self, gate: Gate) -> PhysicalOp:
         """Emit a native three-qubit gate on two devices.
 
-        The three operands must already occupy exactly two adjacent physical
+        The three operands must already sit on exactly two adjacent physical
         devices (two of them encoded in the same ququart).  The Table 2
         configuration label is derived from the operands' roles and slots.
         """

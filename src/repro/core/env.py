@@ -49,18 +49,6 @@ class EnvKnob:
 
 REGISTRY: tuple[EnvKnob, ...] = (
     EnvKnob(
-        name="REPRO_BACKEND",
-        kind="string",
-        default="`numpy`",
-        description="Array backend for the trajectory kernels (`numpy`, `cupy` or `torch`).",
-    ),
-    EnvKnob(
-        name="REPRO_TORCH_DEVICE",
-        kind="string",
-        default="`cuda` if available, else `cpu`",
-        description="Device the torch backend allocates tensors on.",
-    ),
-    EnvKnob(
         name="REPRO_CACHE_DIR",
         kind="path",
         default="unset (in-memory cache only)",
@@ -170,7 +158,7 @@ def read_raw(name: str) -> str | None:
 
     This mirrors ``os.environ.get`` exactly (empty strings pass through) so
     call sites keep their historical fallback semantics, e.g.
-    ``read_raw("REPRO_BACKEND") or "numpy"``.
+    ``read_raw("REPRO_CACHE_DIR") or None``.
     """
     knob(name)
     return os.environ.get(name)

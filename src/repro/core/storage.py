@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -156,9 +157,20 @@ class RetryPolicy:
 
 
 def default_retry_policy(sleep: Callable[[float], None] = time.sleep) -> RetryPolicy:
-    """The environment-configured policy (``REPRO_RETRY_MAX/BASE_S``)."""
+    """The environment-configured policy (``REPRO_RETRY_MAX/BASE_S``).
+
+    A base that is not a finite number at least 0 would make ``sleep``
+    raise on the first transient error, which is then never retried; it is
+    refused here, as is a maximum below one attempt.
+    """
     max_attempts = env.read_int(RETRY_MAX_ENV_VAR)
     base_s = env.read_float(RETRY_BASE_ENV_VAR)
+    if max_attempts is not None and max_attempts < 1:
+        raise ValueError(f"retry max from {RETRY_MAX_ENV_VAR} must be at least 1, got {max_attempts!r}")
+    if base_s is not None and not 0 <= base_s < math.inf:
+        raise ValueError(
+            f"retry base from {RETRY_BASE_ENV_VAR} must be finite and at least 0, got {base_s!r}"
+        )
     return RetryPolicy(
         max_attempts=DEFAULT_RETRY_MAX if max_attempts is None else max_attempts,
         base_s=DEFAULT_RETRY_BASE_S if base_s is None else base_s,

@@ -43,7 +43,6 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.backends import resolve_backend_name
 from repro.core.compile_cache import compilation_cache_key, fingerprint, get_cache
 from repro.core.storage import atomic_write_json, atomic_write_text
 from repro.core.compiler import CompilationResult, QuantumWaltzCompiler
@@ -125,7 +124,6 @@ def _compilation_key(
     workload_kwargs: tuple[tuple[str, Any], ...],
     strategy: str,
     error_factor: float,
-    backend: str,
 ) -> str:
     """Content key of one sweep compilation, memoized on the argument tuple.
 
@@ -136,7 +134,7 @@ def _compilation_key(
     """
     circuit = workload_by_name(workload, size, **dict(workload_kwargs))
     error_model = ErrorModel(ququart_error_factor=error_factor)
-    return compilation_cache_key(circuit, strategy, None, error_model, backend)
+    return compilation_cache_key(circuit, strategy, None, error_model)
 
 
 def _compiled(
@@ -145,7 +143,6 @@ def _compiled(
     workload_kwargs: tuple[tuple[str, Any], ...],
     strategy: str,
     error_factor: float,
-    backend: str | None = None,
 ) -> CompilationResult:
     """Compile one (circuit, strategy, error-model) combination, cached.
 
@@ -154,15 +151,11 @@ def _compiled(
     example a coherence sweep, which only changes the noise model) compile
     once per worker, and with ``$REPRO_CACHE_DIR`` set the disk layer lets
     worker processes and repeated runs reuse each unique (circuit, strategy,
-    device, error model, backend) combination instead of recompiling it
-    (workers racing on a cold cache may duplicate a compilation, never
-    corrupt one — see ``CompileCache.get_or_create``).  ``backend`` defaults
-    to the resolved ``$REPRO_BACKEND`` name and is part of the key, so
-    switching backends mid-process can never serve a result compiled under
-    different backend assumptions.
+    device, error model) combination instead of recompiling it (workers
+    racing on a cold cache may duplicate a compilation, never corrupt one —
+    see ``CompileCache.get_or_create``).
     """
-    backend_name = resolve_backend_name(backend)
-    key = _compilation_key(workload, size, workload_kwargs, strategy, error_factor, backend_name)
+    key = _compilation_key(workload, size, workload_kwargs, strategy, error_factor)
 
     def build() -> CompilationResult:
         circuit = workload_by_name(workload, size, **dict(workload_kwargs))

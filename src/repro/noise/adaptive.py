@@ -221,29 +221,23 @@ def _simulate_deviating(
         return []
     fan_out = min(workers, len(streams) // _MIN_DEV_CHUNK)
     if fan_out > 1:
-        from repro.backends import is_registered
         from repro.noise.parallel import run_parallel_fidelities
 
-        backend_spec = simulator.backend.spawn_spec()
-        if is_registered(backend_spec[0]):
-            return run_parallel_fidelities(
-                physical=physical,
-                noise_model=simulator.noise_model,
-                streams=streams,
-                sampler=user_sampler,  # None: workers rebuild the default
-                batch_size=batch_size,
-                workers=fan_out,
-                backend=backend_spec,
-                fuse=simulator.fuse,
-                host_memory=simulator.backend.host_memory,
-            )
+        return run_parallel_fidelities(
+            physical=physical,
+            noise_model=simulator.noise_model,
+            streams=streams,
+            sampler=user_sampler,  # None: workers rebuild the default
+            batch_size=batch_size,
+            workers=fan_out,
+            fuse=simulator.fuse,
+        )
     from repro.noise.fastpath import run_fastpath_fidelities
 
     return run_fastpath_fidelities(
         physical,
         simulator.noise_model,
         simulator.program_for(physical),
-        simulator.backend,
         streams,
         sampler,
         resumes,
@@ -308,7 +302,6 @@ def adaptive_average_fidelity(
             physical,
             simulator.noise_model,
             program,
-            simulator.backend,
             streams,
             sampler,
             block_size=batch_size,

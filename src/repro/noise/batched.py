@@ -31,8 +31,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backends import resolve_backend
-from repro.backends.base import ArrayBackend
 from repro.core.physical import PhysicalCircuit
 from repro.noise.model import NoiseModel
 from repro.noise.program import (
@@ -53,26 +51,16 @@ __all__ = ["BatchedTrajectoryEngine"]
 
 
 class BatchedTrajectoryEngine:
-    """Evolve batches of statevectors through a compiled trajectory program.
-
-    ``backend`` selects the array library the gate kernels run on (see
-    :mod:`repro.backends`).  On an accelerator backend the ``(batch, dim)``
-    block stays on the device across gate kernels; the scalar stochastic
-    noise decisions always run on the host (they are per-trajectory Python
-    arithmetic over a handful of floats), so the block crosses the host
-    boundary once per noise event, not once per amplitude.
-    """
+    """Evolve batches of statevectors through a compiled trajectory program."""
 
     def __init__(
         self,
         physical: PhysicalCircuit,
         noise_model: NoiseModel | None = None,
         program: TrajectoryProgram | None = None,
-        backend: ArrayBackend | str | None = None,
     ):
         self.physical = physical
         self.noise_model = noise_model or NoiseModel()
-        self.backend = resolve_backend(backend)
         self.program = program or cached_compile_program(physical, self.noise_model)
 
     # -- noise events ------------------------------------------------------------
@@ -133,28 +121,6 @@ class BatchedTrajectoryEngine:
             states[index] = apply_unitary(states[index], error, step.op.devices, dims)
         return states
 
-    # -- host <-> backend --------------------------------------------------------
-    def _to_work(self, states: np.ndarray):
-        """Copy input states into the working block on the backend's device.
-
-        Rows on the full physical register are cut down to the program's
-        register (:meth:`TrajectoryProgram.restrict`, which raises on
-        amplitude outside it).
-        """
-        states = self.program.restrict(states)
-        if self.backend.host_memory:
-            return states
-        return self.backend.asarray(states)
-
-    def _to_host(self, states, width: int | None = None) -> np.ndarray:
-        """The block on the host; zero-filled onto the full register when the
-        caller's rows were ``width`` amplitudes wide and the program's are not."""
-        if not self.backend.host_memory:
-            states = self.backend.to_numpy(states)
-        if width is not None and width != states.shape[1]:
-            states = self.program.expand(states)
-        return states
-
     # -- execution ---------------------------------------------------------------
     def run_ideal(self, states: np.ndarray) -> np.ndarray:
         """Evolve a ``(batch, dim)`` block without noise.
@@ -162,19 +128,16 @@ class BatchedTrajectoryEngine:
         Rows may be on the full physical register or on the program's
         register; the result comes back on the same one.
         """
-        backend = self.backend
         width = states.shape[1]
-        states = self._to_work(states)
-        scratch = backend.empty_like(states)
+        states = self.program.restrict(states)
+        scratch = np.empty_like(states)
         for step in self.program.ideal_steps:
-            result = apply_kernel_batch(
-                states, step.kernel, self.program.dims, out=scratch, backend=backend
-            )
+            result = apply_kernel_batch(states, step.kernel, self.program.dims, out=scratch)
             if result is scratch:
                 states, scratch = scratch, states
             else:
                 states = result  # in-place kernels return states; others may be fresh
-        return self._to_host(states, width)
+        return self._on_width(states, width)
 
     def run_trajectories(
         self, states: np.ndarray, streams: Sequence[np.random.Generator]
@@ -202,36 +165,32 @@ class BatchedTrajectoryEngine:
         physical register or on the program's register; the result comes
         back on the same one.
         """
-        backend = self.backend
         if states.shape[0] != len(streams):
             raise ValueError("need exactly one RNG stream per trajectory")
         if not 0 <= start <= len(self.program.steps):
             raise ValueError(f"start must be a step index, got {start}")
         width = states.shape[1]
-        states = self._to_work(states)
-        scratch = backend.empty_like(states)
+        states = self.program.restrict(states)
+        scratch = np.empty_like(states)
         for step in self.program.steps[start:stop]:
             if isinstance(step, GateStep):
-                result = apply_kernel_batch(
-                    states, step.kernel, self.program.dims, out=scratch, backend=backend
-                )
+                result = apply_kernel_batch(states, step.kernel, self.program.dims, out=scratch)
                 if result is scratch:
                     states, scratch = scratch, states
                 else:
                     states = result  # in-place kernels return states; others may be fresh
                 if step.error_dims is not None:
-                    states = self._noise_event(self._apply_gate_error, states, step, streams)
+                    states = self._apply_gate_error(states, step, streams)
             else:
-                states = self._noise_event(self._apply_idle, states, step, streams)
-        return self._to_host(states, width)
+                states = self._apply_idle(states, step, streams)
+        return self._on_width(states, width)
 
-    def _noise_event(self, apply, states, step, streams):
-        """Run one host-side noise helper, round-tripping device blocks."""
-        if self.backend.host_memory:
-            return apply(states, step, streams)
-        host = self.backend.to_numpy(states)
-        host = apply(host, step, streams)
-        return self.backend.asarray(host)
+    def _on_width(self, states: np.ndarray, width: int) -> np.ndarray:
+        """The block zero-filled onto the full register when the caller's rows
+        were ``width`` amplitudes wide and the program's are not."""
+        if width != states.shape[1]:
+            states = self.program.expand(states)
+        return states
 
     def run_fidelities(
         self,

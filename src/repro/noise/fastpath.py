@@ -261,7 +261,6 @@ def _build_records(engine, initials: np.ndarray, stride: int) -> list[NoJumpReco
     that has not deviated yet.
     """
     program: TrajectoryProgram = engine.program
-    backend = engine.backend
     schedule = draw_schedule(program)
     num_steps = schedule.num_steps
     rows = len(initials)
@@ -269,42 +268,35 @@ def _build_records(engine, initials: np.ndarray, stride: int) -> list[NoJumpReco
     populations = np.zeros((rows, len(schedule.idle_steps), schedule.pad_dim))
     scales = np.ones_like(populations)
     checkpoints: list[dict[int, np.ndarray]] = [{} for _ in range(rows)]
-    work = engine._to_work(initials)
-    scratch = backend.empty_like(work)
+    work = program.restrict(initials)
+    scratch = np.empty_like(work)
     idle_index = 0
     for index, step in enumerate(program.steps):
         if isinstance(step, GateStep):
-            result = apply_kernel_batch(
-                work, step.kernel, program.dims, out=scratch, backend=backend
-            )
+            result = apply_kernel_batch(work, step.kernel, program.dims, out=scratch)
             if result is scratch:
                 work, scratch = scratch, work
             else:
                 work = result
         else:
-            host = engine._to_host(work)
-            step_populations = device_populations_batch(host, step)
+            step_populations = device_populations_batch(work, step)
             step_scales = no_jump_scales_batch(step, step_populations)
             left, d, right = step.reshape
-            tensor = host.reshape(rows, left, d, right)
+            tensor = work.reshape(rows, left, d, right)
             np.multiply(tensor, step_scales[:, None, :, None], out=tensor)
             populations[:, idle_index, :d] = step_populations
             scales[:, idle_index, :d] = step_scales
             idle_index += 1
-            if not backend.host_memory:
-                work = backend.asarray(host)
         boundary = index + 1
         if boundary < num_steps and boundary % stride == 0:
-            host_out = engine._to_host(work)
             for j in range(rows):
-                checkpoints[j][boundary] = np.array(host_out[j])
-    finals = engine._to_host(work)
+                checkpoints[j][boundary] = np.array(work[j])
     return [
         NoJumpRecord(
             populations=populations[j],
             scales=scales[j],
             checkpoints=checkpoints[j],
-            final=np.array(finals[j]),
+            final=np.array(work[j]),
             ideal_final=np.array(ideal[j]),
         )
         for j in range(rows)
@@ -428,7 +420,6 @@ def prescan_trajectories(
     physical,
     noise_model,
     program: TrajectoryProgram,
-    backend,
     streams: Sequence[np.random.Generator],
     sampler: Callable[[np.random.Generator], np.ndarray],
     block_size: int | None = None,
@@ -445,9 +436,7 @@ def prescan_trajectories(
     """
     from repro.noise.batched import BatchedTrajectoryEngine
 
-    engine = BatchedTrajectoryEngine(
-        physical, noise_model, program=program, backend=backend
-    )
+    engine = BatchedTrajectoryEngine(physical, noise_model, program=program)
     chunk = block_size if block_size is not None else max(len(streams), 1)
     if chunk < 1:
         raise ValueError("block_size must be at least 1")
@@ -572,7 +561,6 @@ def run_fastpath_fidelities(
     physical,
     noise_model,
     program: TrajectoryProgram,
-    backend,
     streams: Sequence[np.random.Generator],
     sampler: Callable[[np.random.Generator], np.ndarray],
     resumes: Sequence[Resume],
@@ -590,9 +578,7 @@ def run_fastpath_fidelities(
 
     if len(streams) != len(resumes):
         raise ValueError("need exactly one resume point per stream")
-    engine = BatchedTrajectoryEngine(
-        physical, noise_model, program=program, backend=backend
-    )
+    engine = BatchedTrajectoryEngine(physical, noise_model, program=program)
     chunk = block_size if block_size is not None else 1
     if chunk < 1:
         raise ValueError("block_size must be at least 1")

@@ -70,18 +70,11 @@ def _make_context(
     noise_model: NoiseModel,
     sampler: Callable[[np.random.Generator], np.ndarray] | None,
     batch_size: int | None,
-    backend_spec: tuple[str, dict],
     fuse: bool,
 ) -> dict:
-    from repro.backends import build_backend
     from repro.noise.trajectory import TrajectorySimulator, _default_state_sampler
 
-    name, kwargs = backend_spec
-    simulator = TrajectorySimulator(
-        noise_model=noise_model,
-        backend=build_backend(name, kwargs),
-        fuse=fuse,
-    )
+    simulator = TrajectorySimulator(noise_model=noise_model, fuse=fuse)
     return {
         "simulator": simulator,
         "physical": physical,
@@ -90,9 +83,9 @@ def _make_context(
     }
 
 
-def _init_worker(physical, noise_model, sampler, batch_size, backend_spec, fuse) -> None:
+def _init_worker(physical, noise_model, sampler, batch_size, fuse) -> None:
     global _WORKER
-    _WORKER = _make_context(physical, noise_model, sampler, batch_size, backend_spec, fuse)
+    _WORKER = _make_context(physical, noise_model, sampler, batch_size, fuse)
 
 
 def _run_chunk(task: tuple[int, list[np.random.Generator]]) -> tuple[int, list[float]]:
@@ -104,10 +97,9 @@ def _run_chunk(task: tuple[int, list[np.random.Generator]]) -> tuple[int, list[f
     return start, fidelities
 
 
-def _pool_context(host_memory: bool) -> mp.context.BaseContext:
-    """Prefer fork (shared copy-on-write pages) — except for accelerator
-    backends, whose device contexts (CUDA) do not survive a fork."""
-    if host_memory and "fork" in mp.get_all_start_methods():
+def _pool_context() -> mp.context.BaseContext:
+    """Prefer fork (shared copy-on-write pages), else spawn."""
+    if "fork" in mp.get_all_start_methods():
         return mp.get_context("fork")
     if "spawn" in mp.get_all_start_methods():
         return mp.get_context("spawn")
@@ -121,35 +113,29 @@ def run_parallel_fidelities(
     sampler: Callable[[np.random.Generator], np.ndarray] | None,
     batch_size: int | None,
     workers: int | str | None,
-    backend: str | tuple[str, dict] = "numpy",
     fuse: bool = True,
-    host_memory: bool = True,
 ) -> list[float]:
     """Per-trajectory fidelities of ``streams``, fanned across processes.
 
     ``sampler=None`` means the default Haar-random logical sampler, rebuilt
-    inside each worker.  ``backend`` is a registry name or a
-    :meth:`~repro.backends.base.ArrayBackend.spawn_spec` pair; pass
-    ``host_memory=False`` for accelerator backends so workers spawn instead
-    of forking an initialized device context.  Results come back in stream
-    order regardless of which worker finished first.
+    inside each worker.  Results come back in stream order regardless of
+    which worker finished first.
     """
     streams = list(streams)
-    backend_spec = (backend, {}) if isinstance(backend, str) else backend
     workers = min(resolve_workers(workers), len(streams))
     if workers <= 1:
-        context = _make_context(physical, noise_model, sampler, batch_size, backend_spec, fuse)
+        context = _make_context(physical, noise_model, sampler, batch_size, fuse)
         return context["simulator"]._fidelities_for_streams(
             context["physical"], streams, context["sampler"], context["batch_size"]
         )
     chunks = split_chunks(len(streams), workers)
     tasks = [(start, streams[start:stop]) for start, stop in chunks]
-    payload = (physical, noise_model, sampler, batch_size, backend_spec, fuse)
+    payload = (physical, noise_model, sampler, batch_size, fuse)
     by_start: dict[int, list[float]] = {}
     # repro-lint: disable=ENG001 -- trajectory-level fan-out engine: SweepRunner delegates per-point trajectory work here; results are stream-ordered, so worker count never changes bytes
     with ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=_pool_context(host_memory),
+        mp_context=_pool_context(),
         initializer=_init_worker,
         initargs=payload,
     ) as pool:

@@ -29,19 +29,13 @@ contracting each row on its own.
 :func:`apply_kernel` is the one-statevector reference that the kernel tests
 compare the block kernels against; no engine calls it.
 
-Two extensions sit on top of the classification:
-
-* **backend dispatch** — every array operation of the kernels goes
-  through an :class:`~repro.backends.base.ArrayBackend` (default: the numpy
-  reference backend, selected via ``$REPRO_BACKEND``); the numpy backend
-  maps each primitive to the identical numpy call, so the default path is
-  unchanged bit for bit,
-* **monomial fusion** — at compile time, runs of consecutive
-  diag/perm/monomial kernels collapse into one gather-multiply
-  (``"fused"``).  Fusion only composes phases when the rounding is provably
-  unchanged (at most one member of a run carries phases outside
-  ``{±1, ±i}``; multiplication by those units is exact in IEEE arithmetic),
-  so a fused program is bit-for-bit equal to its unfused counterpart.
+**Monomial fusion** sits on top of the classification: at compile time,
+runs of consecutive diag/perm/monomial kernels collapse into one
+gather-multiply (``"fused"``).  Fusion only composes phases when the
+rounding is provably unchanged (at most one member of a run carries phases
+outside ``{±1, ±i}``; multiplication by those units is exact in IEEE
+arithmetic), so a fused program is bit-for-bit equal to its unfused
+counterpart.
 
 Gather kernels (perm, monomial, fused) are *span-local*: an index over the
 axes from the lowest to the highest touched device, applied as one axis-1
@@ -77,11 +71,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 import numpy as np
 
-from repro.backends import get_backend
-from repro.backends.base import ArrayBackend
+from repro.backends.numpy_backend import take_batch
 from repro.core.physical import PhysicalCircuit, PhysicalOp, Slot
 from repro.noise.channels import _sample_error_indices, _weyl_factors
 from repro.noise.model import NoiseModel
+from repro.qudit.states import apply_unitary, apply_unitary_batch
 from repro.qudit.unitaries import embed_qubit_unitary
 
 __all__ = [
@@ -105,14 +99,13 @@ __all__ = [
 #: size, so the fallback cannot make block sizes diverge.
 _MAX_GATHER_ENTRIES = 256
 
-#: Above this many elements (batch * hilbert_dim) a generic unitary, and a
-#: ``single`` kernel that runs the complex einsum, is applied row by row
-#: instead of through one batched contraction: the batched transpose (or
-#: einsum loop order) of a huge block is strided across all of it and loses
-#: to the cache-friendly per-row path.  A real ``single`` kernel off the last
-#: axis runs one float64 einsum at every size.  Purely a speed knob — every
-#: variant is bit-for-bit identical to the one-statevector kernel.
-_GENERIC_BATCH_ELEMENT_LIMIT = 1 << 20
+#: Above this many elements (batch * hilbert_dim) a ``single`` kernel that
+#: runs the complex einsum is applied row by row instead of through one
+#: batched contraction, whose loop order over a huge block loses to the
+#: cache-friendly per-row path.  A real ``single`` kernel off the last axis
+#: runs one float64 einsum at every size.  Purely a speed knob — both
+#: variants are bit-for-bit identical to the one-statevector kernel.
+_SINGLE_BATCH_ELEMENT_LIMIT = 1 << 20
 
 #: Largest number of materialized fused kernels per program (each owns an
 #: index and phases over its run's span; the Fig. 7 grid needs at most 42).
@@ -258,62 +251,37 @@ def _classify(
 # ---------------------------------------------------------------------------
 
 
-def apply_kernel(
-    state,
-    kernel: _Kernel,
-    dims: tuple[int, ...],
-    backend: ArrayBackend | None = None,
-) -> np.ndarray:
+def apply_kernel(state: np.ndarray, kernel: _Kernel, dims: tuple[int, ...]) -> np.ndarray:
     """Apply a classified unitary to one flat statevector.
 
     This is the one-statevector reference that the kernel tests compare
     :func:`apply_kernel_batch` against, row by row; no engine calls it.
-    ``backend`` selects the array library the primitives run on (default:
-    the process backend from :func:`repro.backends.get_backend`); the numpy
-    backend reproduces the historical hard-coded numpy path bit for bit.
     Gathers run as the one-row case of :func:`apply_kernel_batch`.
     """
-    if backend is None:
-        backend = get_backend()
     if kernel.kind == "diag":
         if kernel.phase is None:
-            return backend.copy(state)
-        phase = backend.constant(kernel.phase)
-        return backend.reshape(
-            backend.multiply(backend.reshape(state, dims), phase), (-1,)
-        )
+            return state.copy()
+        return np.multiply(state.reshape(dims), kernel.phase).reshape(-1)
     if kernel.index is not None:
-        block = backend.reshape(state, (1, -1))
-        return backend.reshape(apply_kernel_batch(block, kernel, dims, backend=backend), (-1,))
+        return apply_kernel_batch(state.reshape(1, -1), kernel, dims).reshape(-1)
     if kernel.kind == "single":
         left, d, right = kernel.reshape
-        return backend.reshape(
-            backend.einsum(
-                "ij,ljr->lir",
-                backend.constant(kernel.unitary),
-                backend.reshape(state, (left, d, right)),
-            ),
-            (-1,),
-        )
-    return backend.apply_unitary(
-        state, backend.constant(kernel.unitary), kernel.targets, dims
-    )
+        return np.einsum("ij,ljr->lir", kernel.unitary, state.reshape(left, d, right)).reshape(-1)
+    return apply_unitary(state, kernel.unitary, kernel.targets, dims)
 
 
 def apply_kernel_batch(
-    states,
+    states: np.ndarray,
     kernel: _Kernel,
     dims: tuple[int, ...],
-    out=None,
-    backend: ArrayBackend | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply a classified unitary to a ``(batch, dim)`` block.
 
     Row ``i`` of the result is bit-for-bit :func:`apply_kernel` of row ``i``:
     gathers and broadcast multiplies are element-wise identical, the batched
-    einsum contracts each row exactly like the scalar einsum, and the generic
-    GEMM falls back to per-row application above a size threshold (below it,
-    the batched dense apply performs the identical per-slice GEMM).
+    einsum contracts each row exactly like the scalar einsum, and the batched
+    dense apply of a generic unitary performs the identical per-slice GEMM.
 
     A real ``single`` kernel (``kernel.real``) off the last axis runs one
     float64 einsum over the interleaved real/imaginary view
@@ -325,8 +293,7 @@ def apply_kernel_batch(
     part), and einsum's accumulator starts at +0, where adding a zero of
     either sign to +0 or to a nonzero value changes nothing.  On the last
     axis (``right == 1``) the float view is slower than the complex einsum,
-    so such kernels, complex unitaries and non-host backends keep the
-    complex path.
+    so such kernels and complex unitaries keep the complex path.
 
     ``out``, when given, is a scratch block of the same shape that must not
     overlap ``states``: kernels that cannot work in place write into it and
@@ -336,30 +303,23 @@ def apply_kernel_batch(
     A gather walks its ``(batch * left, span, right)`` view row by row, so
     it needs no per-row fallback on large blocks.
     """
-    if backend is None:
-        backend = get_backend()
     batch = states.shape[0]
-    elements = batch * states.shape[1]
     if kernel.kind == "diag" or kernel.index is not None:
         if kernel.index is not None:
             if out is None:
-                out = backend.empty_like(states)
+                out = np.empty_like(states)
             view = (batch * kernel.reshape[0],) + kernel.reshape[1:]
-            index = backend.constant(kernel.index)
-            backend.take_batch(backend.reshape(states, view), index, out=backend.reshape(out, view))
+            take_batch(states.reshape(view), kernel.index, out=out.reshape(view))
             states = out
         if kernel.phase is not None:
-            tensor = backend.reshape(states, (batch,) + dims)
-            phase = backend.constant(kernel.phase)
-            backend.multiply(
-                tensor, backend.reshape(phase, (1,) + kernel.phase.shape), out=tensor
-            )
+            tensor = states.reshape((batch,) + dims)
+            np.multiply(tensor, kernel.phase.reshape((1,) + kernel.phase.shape), out=tensor)
         return states
     if kernel.kind == "single":
         left, d, right = kernel.reshape
         if out is None:
-            out = backend.empty_like(states)
-        if kernel.real is not None and right > 1 and backend.host_memory:
+            out = np.empty_like(states)
+        if kernel.real is not None and right > 1:
             view = (batch * left, d, 2 * right)
             np.einsum(
                 "ij,ljr->lir",
@@ -368,33 +328,25 @@ def apply_kernel_batch(
                 out=out.view(np.float64).reshape(view),
             )
             return out
-        unitary = backend.constant(kernel.unitary)
-        if elements <= _GENERIC_BATCH_ELEMENT_LIMIT:
-            backend.einsum(
+        if states.size <= _SINGLE_BATCH_ELEMENT_LIMIT:
+            np.einsum(
                 "ij,bljr->blir",
-                unitary,
-                backend.reshape(states, (batch, left, d, right)),
-                out=backend.reshape(out, (batch, left, d, right)),
+                kernel.unitary,
+                states.reshape(batch, left, d, right),
+                out=out.reshape(batch, left, d, right),
             )
         else:
             # Per-row einsum: the batched contraction picks a poor loop order
             # on huge tensors; each row is the scalar kernel verbatim.
             for row in range(batch):
-                backend.einsum(
+                np.einsum(
                     "ij,ljr->lir",
-                    unitary,
-                    backend.reshape(states[row], (left, d, right)),
-                    out=backend.reshape(out[row], (left, d, right)),
+                    kernel.unitary,
+                    states[row].reshape(left, d, right),
+                    out=out[row].reshape(left, d, right),
                 )
         return out
-    unitary = backend.constant(kernel.unitary)
-    if elements <= _GENERIC_BATCH_ELEMENT_LIMIT:
-        return backend.apply_unitary_batch(states, unitary, kernel.targets, dims)
-    if out is None:
-        out = backend.empty_like(states)
-    for row in range(batch):
-        out[row] = backend.apply_unitary(states[row], unitary, kernel.targets, dims)
-    return out
+    return apply_unitary_batch(states, kernel.unitary, kernel.targets, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backends import resolve_backend
-from repro.backends.base import ArrayBackend
 from repro.core.compiler import CompilationResult
 from repro.core.physical import PhysicalCircuit
 from repro.noise.model import NoiseModel
@@ -74,8 +72,6 @@ class TrajectoryResult:
 class TrajectorySimulator:
     """Statevector simulator with stochastic qudit noise.
 
-    ``backend`` selects the array library the gate kernels run on (name or
-    instance, see :mod:`repro.backends`; default honors ``$REPRO_BACKEND``).
     ``fuse=False`` disables compile-time monomial fusion — results are
     bit-for-bit identical either way, the knob exists for A/B testing.
     """
@@ -84,12 +80,10 @@ class TrajectorySimulator:
         self,
         noise_model: NoiseModel | None = None,
         rng: np.random.Generator | int | None = None,
-        backend: ArrayBackend | str | None = None,
         fuse: bool = True,
     ):
         self.noise_model = noise_model or NoiseModel()
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.backend = resolve_backend(backend)
         self.fuse = fuse
         self._programs: dict[tuple[int, int, bool], TrajectoryProgram] = {}
 
@@ -190,33 +184,18 @@ class TrajectorySimulator:
         workers = resolve_workers(workers)
         streams = self.rng.spawn(num_trajectories)
         if workers > 1 and num_trajectories > 1:
-            from repro.backends import is_registered
             from repro.noise.parallel import run_parallel_fidelities
 
-            backend_spec = self.backend.spawn_spec()
-            if not is_registered(backend_spec[0]):
-                import warnings
-
-                warnings.warn(
-                    f"backend {backend_spec[0]!r} is not in the backend registry "
-                    "and cannot be rebuilt in worker processes; running "
-                    "trajectories single-process instead",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                fidelities = run_parallel_fidelities(
-                    physical=physical,
-                    noise_model=self.noise_model,
-                    streams=streams,
-                    sampler=initial_state_sampler,  # None: workers rebuild the default
-                    batch_size=batch_size,
-                    workers=workers,
-                    backend=backend_spec,
-                    fuse=self.fuse,
-                    host_memory=self.backend.host_memory,
-                )
-                return TrajectoryResult(fidelities=fidelities)
+            fidelities = run_parallel_fidelities(
+                physical=physical,
+                noise_model=self.noise_model,
+                streams=streams,
+                sampler=initial_state_sampler,  # None: workers rebuild the default
+                batch_size=batch_size,
+                workers=workers,
+                fuse=self.fuse,
+            )
+            return TrajectoryResult(fidelities=fidelities)
         sampler = initial_state_sampler or _default_state_sampler(physical, self.program_for(physical).dims)
         return TrajectoryResult(
             fidelities=self._fidelities_for_streams(physical, streams, sampler, batch_size)
@@ -237,10 +216,7 @@ class TrajectorySimulator:
         trajectory per block), and every block size gives the same bits.
         """
         engine = BatchedTrajectoryEngine(
-            physical,
-            self.noise_model,
-            program=self.program_for(physical),
-            backend=self.backend,
+            physical, self.noise_model, program=self.program_for(physical)
         )
         block = batch_size if batch_size is not None else 1
         fidelities: list[float] = []
@@ -284,11 +260,10 @@ def simulate_fidelity(
     rng: np.random.Generator | int | None = None,
     batch_size: int | None = None,
     workers: int | str | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> TrajectoryResult:
     """Convenience wrapper: average noisy fidelity of a compiled circuit."""
     physical = compiled.physical_circuit if isinstance(compiled, CompilationResult) else compiled
-    simulator = TrajectorySimulator(noise_model=noise_model, rng=rng, backend=backend)
+    simulator = TrajectorySimulator(noise_model=noise_model, rng=rng)
     return simulator.average_fidelity(
         physical,
         num_trajectories=num_trajectories,

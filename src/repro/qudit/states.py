@@ -39,9 +39,8 @@ __all__ = [
 class UnitaryAxesPlan:
     """Precomputed transpose/reshape plan for applying a unitary to targets.
 
-    Shared by :func:`apply_unitary`, :func:`apply_unitary_batch` and the
-    generic implementations in :mod:`repro.backends.base`, so every array
-    library performs the same axis bookkeeping.
+    Shared by :func:`apply_unitary` and :func:`apply_unitary_batch`, so the
+    one-state and batched paths perform the same axis bookkeeping.
     """
 
     perm: tuple[int, ...]  # axes order bringing the targets to the front

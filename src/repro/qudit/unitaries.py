@@ -212,7 +212,7 @@ def encoding_permutation(qubit_first: bool = True) -> np.ndarray:
 
     ENC moves the bare qubit's value into slot 0 of the neighbouring ququart,
     leaving the bare device in ``|0>``, provided the ququart's slot 0 was
-    ``0`` (i.e. the ququart was in its "qubit state", occupying only levels
+    ``0`` (i.e. the ququart was in its "qubit state", populating only levels
     0 and 1).  As a full unitary it is the embedded SWAP between the bare
     qubit and slot 0 of the ququart, which is its own inverse — so the
     decode operation ENC† uses the same matrix.

@@ -5,7 +5,7 @@ from os import environ
 
 
 def read_attribute() -> str | None:
-    return os.environ.get("REPRO_BACKEND")
+    return os.environ.get("REPRO_CACHE_DIR")
 
 
 def read_getenv() -> str | None:
@@ -13,4 +13,4 @@ def read_getenv() -> str | None:
 
 
 def read_from_import() -> str | None:
-    return environ.get("REPRO_BACKEND")
+    return environ.get("REPRO_CACHE_DIR")

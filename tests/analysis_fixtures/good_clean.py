@@ -21,8 +21,8 @@ def ordered_total(values: list[float]) -> float:
     return total
 
 
-def backend_name() -> str:
-    return env.read_raw("REPRO_BACKEND") or "numpy"
+def cache_dir() -> str | None:
+    return env.read_raw("REPRO_CACHE_DIR") or None
 
 
 def compile_cached(physical: object, noise_model: object) -> object:

@@ -93,7 +93,6 @@ class TestDeterminism:
             PHYSICAL,
             simulator.noise_model,
             simulator.program_for(PHYSICAL),
-            simulator.backend,
             streams,
             sampler,
         )

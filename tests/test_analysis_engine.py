@@ -53,7 +53,7 @@ def test_multi_rule_suppression(tmp_path: Path) -> None:
     source = (
         "import time\nimport os\n\n\ndef both() -> float:\n"
         "    # repro-lint: disable=DET002,ENV001 -- exercising multi-rule disable\n"
-        '    return time.time() if os.environ.get("REPRO_BACKEND") else 0.0\n'
+        '    return time.time() if os.environ.get("REPRO_CACHE_DIR") else 0.0\n'
     )
     assert run_source(tmp_path, source) == []
 

@@ -28,6 +28,9 @@ FASTPATH_FILE = "repro/noise/fastpath.py"
 PROVIDERS_FILE = "repro/artifacts/providers.py"
 STATES_FILE = "repro/qudit/states.py"
 
+#: The first lines of ``apply_kernel``'s body (a mutation lands in that region).
+KERNEL_ANCHOR = '    if kernel.kind == "diag":\n        if kernel.phase is None:\n'
+
 
 @pytest.fixture
 def tree(tmp_path: Path) -> Path:
@@ -74,8 +77,8 @@ def test_kernel_mutation_without_bump_fails(tree: Path) -> None:
     edit(
         tree,
         KERNEL_FILE,
-        "    if backend is None:\n        backend = get_backend()",
-        "    state = +state\n    if backend is None:\n        backend = get_backend()",
+        KERNEL_ANCHOR,
+        "    state = +state\n" + KERNEL_ANCHOR,
     )
     findings, _ = check_fingerprints(tree, manifest)
     assert len(findings) == 1
@@ -92,8 +95,8 @@ def test_kernel_mutation_with_bump_passes(tree: Path) -> None:
     edit(
         tree,
         KERNEL_FILE,
-        "    if backend is None:\n        backend = get_backend()",
-        "    state = +state\n    if backend is None:\n        backend = get_backend()",
+        KERNEL_ANCHOR,
+        "    state = +state\n" + KERNEL_ANCHOR,
     )
     version = schema_version(tree, "CACHE_SCHEMA_VERSION")
     assert version is not None

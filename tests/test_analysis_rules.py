@@ -237,7 +237,7 @@ def test_durable_write_rule_flags_keyword_mode_and_suppression(tmp_path: Path) -
 
 
 def test_env_rule_exempts_registry_module(tmp_path: Path) -> None:
-    source = 'import os\n\nVALUE = os.environ.get("REPRO_BACKEND")\n'
+    source = 'import os\n\nVALUE = os.environ.get("REPRO_CACHE_DIR")\n'
     core = tmp_path / "repro" / "core"
     core.mkdir(parents=True)
     (core / "env.py").write_text(source, encoding="utf-8")

@@ -121,7 +121,6 @@ def test_prescan_clean_fidelities_match_fixed_count(sixteen_qubit):
         sixteen_qubit,
         simulator.noise_model,
         program,
-        simulator.backend,
         streams,
         _default_state_sampler(sixteen_qubit, program.dims),
     )

@@ -16,7 +16,7 @@ from repro.core.compile_cache import (
 from repro.core.compiler import compile_circuit
 from repro.core.gateset import ErrorModel
 from repro.core.strategies import Strategy
-from repro.experiments.sweep import SweepPoint, SweepRunner, _compiled, point_seeds
+from repro.experiments.sweep import SweepPoint, SweepRunner, point_seeds
 from repro.noise.model import NoiseModel
 from repro.noise.program import cached_compile_program
 from repro.noise.trajectory import TrajectorySimulator
@@ -40,27 +40,13 @@ class TestKeys:
     def test_key_sensitivity(self):
         circuit = workload_by_name("cnu", 5)
         other_circuit = workload_by_name("cnu", 6)
-        base = compilation_cache_key(circuit, "QUBIT_ONLY", None, ErrorModel(), "numpy")
-        assert base == compilation_cache_key(circuit, "QUBIT_ONLY", None, ErrorModel(), "numpy")
-        assert base != compilation_cache_key(other_circuit, "QUBIT_ONLY", None, ErrorModel(), "numpy")
-        assert base != compilation_cache_key(circuit, "FULL_QUQUART", None, ErrorModel(), "numpy")
+        base = compilation_cache_key(circuit, "QUBIT_ONLY", None, ErrorModel())
+        assert base == compilation_cache_key(circuit, "QUBIT_ONLY", None, ErrorModel())
+        assert base != compilation_cache_key(other_circuit, "QUBIT_ONLY", None, ErrorModel())
+        assert base != compilation_cache_key(circuit, "FULL_QUQUART", None, ErrorModel())
         assert base != compilation_cache_key(
-            circuit, "QUBIT_ONLY", None, ErrorModel(ququart_error_factor=2.0), "numpy"
+            circuit, "QUBIT_ONLY", None, ErrorModel(ququart_error_factor=2.0)
         )
-
-    def test_backend_folds_into_key(self):
-        """Regression: switching REPRO_BACKEND must never reuse artifacts."""
-        circuit = workload_by_name("cnu", 5)
-        numpy_key = compilation_cache_key(circuit, "QUBIT_ONLY", None, ErrorModel(), "numpy")
-        torch_key = compilation_cache_key(circuit, "QUBIT_ONLY", None, ErrorModel(), "torch")
-        assert numpy_key != torch_key
-
-    def test_compiled_separates_backends(self):
-        args = ("cnu", 5, (), "QUBIT_ONLY", 1.0)
-        numpy_result = _compiled(*args, backend="numpy")
-        torch_result = _compiled(*args, backend="torch")
-        assert numpy_result is not torch_result  # distinct cache entries
-        assert _compiled(*args, backend="numpy") is numpy_result
 
 
 class TestCompileCache:

@@ -13,10 +13,11 @@ errors of it, at fixed seeds:
 for toffoli, cnu-3 and qram-3 under all nine strategies, plus stressed
 cases whose error mechanisms are strong enough to show a wrong unravelling:
 an 80x shorter T1 (``base_t1_ns=2000``) and one ququart whose gate draws a
-depolarizing error half the time.
+depolarizing error half the time.  The adaptive estimator
+(``average_fidelity(target_stderr=...)``) is held to the exact Haar average
+on the stressed cases, within ``Z_BOUND`` of the standard error it reports.
 
-Out of scope: hypothesis-drawn circuits and adaptive runs checked against
-their reported standard error.
+Out of scope: hypothesis-drawn circuits.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.core.physical import PhysicalCircuit, PhysicalOp
 from repro.core.strategies import Strategy
 from repro.noise.batched import BatchedTrajectoryEngine
 from repro.noise.model import NoiseModel
-from repro.noise.trajectory import _default_state_sampler
+from repro.noise.trajectory import TrajectorySimulator, _default_state_sampler
 from repro.qudit.random import haar_random_state
 from repro.topology.device import CoherenceModel
 from repro.workloads import workload_by_name
@@ -132,6 +133,22 @@ def test_stressed_t1_matches_exact(strategy):
     state = _fixed_state(physical, 5)
     _check_fixed_input(physical, STRESSED, state, 4000, 41, f"stressed {strategy.name}")
     _check_haar(physical, STRESSED, 4000, 43, f"stressed {strategy.name}")
+
+
+@pytest.mark.parametrize("strategy", STRESSED_CASES, ids=[s.name for s in STRESSED_CASES])
+def test_stressed_adaptive_estimate_matches_exact(strategy):
+    """The adaptive estimate sits within its own reported standard error."""
+    physical = _physical("toffoli", strategy)
+    result = TrajectorySimulator(STRESSED, rng=47).average_fidelity(
+        physical, num_trajectories=4096, target_stderr=0.003
+    )
+    assert result.converged, f"stressed {strategy.name}: {result.n_used} trajectories, not converged"
+    exact = haar_average_fidelity(physical, STRESSED)
+    z = (result.estimate - exact) / result.stderr
+    assert abs(z) <= Z_BOUND, (
+        f"stressed {strategy.name} adaptive: estimate {result.estimate:.6f} vs exact {exact:.6f} "
+        f"(reported stderr {result.stderr:.6f}, z={z:.1f})"
+    )
 
 
 def _noisy_ququart() -> PhysicalCircuit:

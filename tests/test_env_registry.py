@@ -40,6 +40,8 @@ REMOVED_KNOBS = (
     "REPRO_FASTPATH_MIN_TRAJ",
     "REPRO_FASTPATH_SPEEDUP_GATE",
     "REPRO_SERVE_POLL_S",
+    "REPRO_BACKEND",
+    "REPRO_TORCH_DEVICE",
 )
 
 
@@ -52,12 +54,12 @@ def test_removed_knob_is_rejected(monkeypatch: pytest.MonkeyPatch, name: str) ->
 
 
 def test_read_raw_mirrors_environ(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert env.read_raw("REPRO_BACKEND") is None
-    monkeypatch.setenv("REPRO_BACKEND", "")
-    assert env.read_raw("REPRO_BACKEND") == ""
-    monkeypatch.setenv("REPRO_BACKEND", "torch")
-    assert env.read_raw("REPRO_BACKEND") == "torch"
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    assert env.read_raw("REPRO_CACHE_DIR") is None
+    monkeypatch.setenv("REPRO_CACHE_DIR", "")
+    assert env.read_raw("REPRO_CACHE_DIR") == ""
+    monkeypatch.setenv("REPRO_CACHE_DIR", "/data/cache")
+    assert env.read_raw("REPRO_CACHE_DIR") == "/data/cache"
 
 
 def test_read_int(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -87,14 +87,13 @@ def _prescan_resume(physical, model, seed, count, batch_size=None, fuse=True, sa
     sampler = sampler or _default_state_sampler(physical)
     program = simulator.program_for(physical)
     prescan = prescan_trajectories(
-        physical, model, program, simulator.backend, streams, sampler, block_size=batch_size
+        physical, model, program, streams, sampler, block_size=batch_size
     )
     deviating = np.flatnonzero(~prescan.clean)
     resumed = run_fastpath_fidelities(
         physical,
         model,
         program,
-        simulator.backend,
         [streams[row] for row in deviating],
         sampler,
         prescan.resumes,
@@ -417,7 +416,6 @@ class TestFastpathEquality:
                 physical,
                 JUMPY,
                 simulator.program_for(physical),
-                simulator.backend,
                 simulator.rng.spawn(1),
                 _default_state_sampler(physical),
                 [],

@@ -33,7 +33,7 @@ from repro.experiments.sweep import SweepPoint, _compiled
 from repro.noise import program as program_module
 from repro.noise.model import NoiseModel
 from repro.noise.program import (
-    _GENERIC_BATCH_ELEMENT_LIMIT,
+    _SINGLE_BATCH_ELEMENT_LIMIT,
     GateStep,
     _classify,
     _Fuser,
@@ -44,6 +44,7 @@ from repro.noise.program import (
     apply_kernel_batch,
     compile_program,
 )
+from repro.qudit.random import haar_random_unitary
 from repro.topology.device import CoherenceModel
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,7 @@ class TestSpanLocalApply:
 
     @pytest.mark.parametrize("targets", [(0, 1), (1, 3), (3, 1), (4,), (0, 4), (4, 2, 0)])
     def test_adjacent_far_and_last_axis_targets(self, targets):
-        # One block above the element limit, where single/generic kernels go
+        # One block above the element limit, where a complex single kernel goes
         # row by row: a gather stays one take at any size.
         dims = (4, 2, 4, 2, 4)
         rng = np.random.default_rng(sum(targets))
@@ -348,7 +349,7 @@ class TestSpanLocalApply:
         unitary[np.arange(size), rng.permutation(size)] = EXACT_UNITS[rng.integers(0, 4, size)]
         kernel = _classify(unitary, targets, dims, [1])
         assert kernel.kind in ("perm", "monomial")
-        rows = _GENERIC_BATCH_ELEMENT_LIMIT // math.prod(dims) + 1
+        rows = _SINGLE_BATCH_ELEMENT_LIMIT // math.prod(dims) + 1
         assert_applies_like_full_take(kernel, dims, rows=rows)
 
     @pytest.mark.parametrize("corrupt", ["past_end", "negative"])
@@ -468,7 +469,7 @@ class TestRealSingleKernel:
         dims = (4,) * 5
         rng = np.random.default_rng(axis)
         kernel = _classify(real_single_unitary(rng, 4, "I(x)H"), (axis,), dims, [0])
-        rows = _GENERIC_BATCH_ELEMENT_LIMIT // math.prod(dims) + 1
+        rows = _SINGLE_BATCH_ELEMENT_LIMIT // math.prod(dims) + 1
         assert_rows_match_complex_einsum(
             kernel, dims, signed_zero_states(rng, rows, math.prod(dims))
         )
@@ -491,6 +492,21 @@ class TestRealSingleKernel:
         calls = einsum_operand_dtypes(monkeypatch)
         assert_rows_match_complex_einsum(kernel, dims, states)
         assert calls and all(dtypes == {np.dtype(np.complex128)} for dtypes in calls)
+
+
+@pytest.mark.parametrize("targets", [(0, 1), (4, 2), (1, 3, 4)])
+def test_generic_rows_equal_one_state_kernel_above_element_limit(targets):
+    # A generic kernel is one batched dense apply at every block size; each
+    # row must still be the one-statevector kernel's bytes.
+    dims = (4, 2, 4, 2, 4)
+    rng = np.random.default_rng(sum(targets))
+    kernel = _classify(haar_random_unitary(math.prod(dims[t] for t in targets), rng), targets, dims, [0])
+    assert kernel.kind == "generic"
+    rows = _SINGLE_BATCH_ELEMENT_LIMIT // math.prod(dims) + 1
+    states = random_states(rng, rows, math.prod(dims))
+    block = apply_kernel_batch(states.copy(), kernel, dims, out=np.empty_like(states))
+    for row, got in zip(states, block):
+        assert got.tobytes() == apply_kernel(row, kernel, dims).tobytes()
 
 
 # ---------------------------------------------------------------------------

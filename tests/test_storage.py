@@ -113,6 +113,26 @@ class TestRetryPolicy:
         assert policy.max_attempts == storage.DEFAULT_RETRY_MAX
         assert policy.base_s == storage.DEFAULT_RETRY_BASE_S
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_default_policy_rejects_bad_base(self, monkeypatch, value):
+        # Such a base made the first retry's sleep raise, so a transient
+        # error was never retried.
+        monkeypatch.setenv("REPRO_RETRY_BASE_S", value)
+        with pytest.raises(ValueError, match="REPRO_RETRY_BASE_S"):
+            storage.default_retry_policy()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_default_policy_rejects_bad_max(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_RETRY_MAX", value)
+        with pytest.raises(ValueError, match="REPRO_RETRY_MAX"):
+            storage.default_retry_policy()
+
+    def test_default_policy_accepts_zero_base(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_BASE_S", "0")
+        monkeypatch.setenv("REPRO_RETRY_MAX", "1")
+        policy = storage.default_retry_policy()
+        assert (policy.max_attempts, policy.base_s) == (1, 0.0)
+
 
 class TestRenameAndLink:
     def test_durable_link_is_exclusive(self, tmp_path):

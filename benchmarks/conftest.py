@@ -12,9 +12,6 @@ same way:
 * ``REPRO_SPEEDUP_GATE`` — minimum batched-vs-seed speedup of the Figure 7
   sweep (default 4.0, one cold pass of the default pipeline; CI relaxes it
   for noisy shared runners),
-* ``REPRO_PARALLEL_SPEEDUP_GATE`` — minimum multi-core-vs-single-core
-  speedup of the trajectory runner (default 2.0 on machines with >= 4 CPUs,
-  0.0 — report-only — below that, where the parallelism has nothing to win),
 * ``REPRO_ADAPTIVE_SPEEDUP_GATE`` — minimum adaptive-vs-fixed-count speedup
   to reach the same statistical error on the Figure 7 paper-regime points
   (default 2.0: the importance-sampled estimator needs several times fewer
@@ -27,7 +24,6 @@ same way:
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -71,18 +67,6 @@ def speedup_gate() -> float:
     Default 4.0: the contender is one cold pass of the default pipeline.
     """
     return parse_speedup_gate("REPRO_SPEEDUP_GATE", default=4.0)
-
-
-@pytest.fixture
-def parallel_speedup_gate() -> float:
-    """Multi-core trajectory runner gate (``REPRO_PARALLEL_SPEEDUP_GATE``).
-
-    Defaults to 2.0 on runners with at least four CPUs (the ISSUE 2
-    acceptance bar) and to report-only where the worker pool cannot
-    physically win wall-clock.
-    """
-    cpus = os.cpu_count() or 1
-    return parse_speedup_gate("REPRO_PARALLEL_SPEEDUP_GATE", default=2.0 if cpus >= 4 else 0.0)
 
 
 @pytest.fixture

@@ -4,20 +4,17 @@ Runs a small adaptive grid (``num_trajectories="auto"`` with an explicit
 ``target_stderr``) twice against one ``$REPRO_CACHE_DIR``:
 
 1. **serial** — ``SweepRunner(max_workers=1)``, the reference bytes: every
-   round's deviating streams resume in process from the prescan's
-   checkpoints,
-2. **parallel** — ``max_workers=3``, with the deviating-subset fan-out
-   floor lowered to one stream, so every subset of two or more deviating
-   streams runs in worker processes through the explicit engine instead.
+   round's deviating streams resume from the prescan's checkpoints,
+2. **parallel** — ``max_workers=2``, the point pool: each point runs in
+   its own worker process.
 
-The check fails unless both CSV **and** JSON artifacts are byte-identical,
-the serial pass resumed at least one deviating stream and the parallel
-pass sent at least one of them to the workers, so the diff really compares
-checkpoint resume with the explicit engine.  It then re-evaluates every
-point as a plain fixed-count run with **10x** the trajectories the adaptive
-run consumed and requires
-each adaptive estimate to land within ``z = 3`` combined standard errors
-of that reference — a reproducible-but-wrong estimator fails here.
+The check fails unless both CSV **and** JSON artifacts are byte-identical
+and the serial pass resumed at least one deviating stream, so the rows
+really carry resumed fidelities.  It then re-evaluates every point as a
+plain fixed-count run with **10x** the trajectories the adaptive run
+consumed and requires each adaptive estimate to land within ``z = 3``
+combined standard errors of that reference — a reproducible-but-wrong
+estimator fails here.
 
 Usage::
 
@@ -43,7 +40,6 @@ def main() -> int:
         return 2
 
     from repro.experiments.sweep import SweepPoint, SweepRunner, evaluate_point, point_seeds
-    from repro.noise import adaptive
     from repro.noise.fastpath import stats as fastpath_stats
 
     seeds = point_seeds(0, 2)
@@ -68,25 +64,20 @@ def main() -> int:
 
     serial, serial_csv, serial_json = run("serial", max_workers=1)
     serial_resumed = fastpath_stats()["resumed"]
-    adaptive._MIN_DEV_CHUNK = 1
-    _, parallel_csv, parallel_json = run("parallel", max_workers=3)
-    parallel_resumed = fastpath_stats()["resumed"] - serial_resumed
+    _, parallel_csv, parallel_json = run("parallel", max_workers=2)
 
     csv_identical = serial_csv.read_bytes() == parallel_csv.read_bytes()
     json_identical = serial_json.read_bytes() == parallel_json.read_bytes()
     print(
         f"serial-vs-parallel identical CSV: {csv_identical}, "
-        f"identical JSON: {json_identical}, streams resumed in process: "
-        f"{serial_resumed} serial, {parallel_resumed} parallel"
+        f"identical JSON: {json_identical}, streams resumed by the serial pass: "
+        f"{serial_resumed}"
     )
     if not csv_identical or not json_identical:
         print("FAIL: adaptive sweep bytes depend on scheduling")
         return 1
     if serial_resumed < 1:
         print("FAIL: the serial pass resumed no deviating stream; the diff is vacuous")
-        return 1
-    if parallel_resumed >= serial_resumed:
-        print("FAIL: the parallel pass sent no deviating stream to the explicit engine")
         return 1
 
     failures = 0

@@ -192,7 +192,6 @@ REGIONS: tuple[Region, ...] = (
     _result("repro/noise/batched.py", "BatchedTrajectoryEngine"),
     _result("repro/noise/adaptive.py", "adaptive_average_fidelity"),
     _result("repro/noise/adaptive.py", "stratified_contributions"),
-    _result("repro/noise/adaptive.py", "_simulate_deviating"),
     _result("repro/noise/fastpath.py", "_build_records"),
     _result("repro/noise/fastpath.py", "_clean_probability"),
     _result("repro/noise/fastpath.py", "_resume_block"),

@@ -89,8 +89,7 @@ class SweepTableArtifact:
 
     ``name`` is a display label (figure id) only — two tables over the
     same points are the *same artifact* regardless of label, so the
-    planner evaluates them once.  Point identity reuses ``point_key``,
-    which already excludes scheduling knobs like ``workers``.
+    planner evaluates them once.  Point identity reuses ``point_key``.
     """
 
     points: tuple[SweepPoint, ...]

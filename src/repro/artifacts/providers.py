@@ -96,8 +96,8 @@ def point_result_key(point: Any, physical: Any) -> str:
     trajectory program's key (the physical op stream and the noise model the
     point simulates under) and ``CACHE_SCHEMA_VERSION``.  Adaptive points
     also fold the resolved ``REPRO_ADAPTIVE_ROUND`` /
-    ``REPRO_ADAPTIVE_MAX_TRAJ``, which change their results.  ``workers`` and the fast-path knobs stay out: they
-    never change a bit.
+    ``REPRO_ADAPTIVE_MAX_TRAJ``, which change their results.  The runner's
+    pool size and the fast-path knobs stay out: they never change a bit.
     """
     from repro.core.compile_cache import CACHE_SCHEMA_VERSION, fingerprint
     from repro.experiments.sweep import point_key

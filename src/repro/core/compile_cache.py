@@ -74,7 +74,9 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 #: v7: programs simulate a register truncated to each device's reachable
 #: levels; kernels, idle tables and error factors are built on it.
 #: v8: the kernels run on numpy alone; no key carries an array-backend token.
-CACHE_SCHEMA_VERSION = 8
+#: v9: fixed-count and adaptive runs simulate every stream in process; the
+#: trajectory-level process pool (``workers=``) is gone.  No bit moves.
+CACHE_SCHEMA_VERSION = 9
 
 #: Default capacity of the in-process LRU front (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256

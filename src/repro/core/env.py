@@ -88,12 +88,6 @@ REGISTRY: tuple[EnvKnob, ...] = (
         description="Minimum speedup of the batched sweep over the seed-style pipeline the Fig. 7 benchmark gate asserts (0 = report only).",
     ),
     EnvKnob(
-        name="REPRO_PARALLEL_SPEEDUP_GATE",
-        kind="float",
-        default="2.0",
-        description="Minimum multi-worker speedup the benchmark gate asserts (0 = report only).",
-    ),
-    EnvKnob(
         name="REPRO_BENCH_DIR",
         kind="path",
         default="unset (no artifacts)",

@@ -122,7 +122,8 @@ JOB_POLICIES = ("fifo", "cost-weighted")
 #: Bump when point identity or the job/lease/manifest/marker layout
 #: changes; old state then errors loudly instead of being honoured.
 #: v2: points carry ``target_stderr`` (the adaptive sampling opt-in).
-SHARD_SCHEMA_VERSION = 2
+#: v3: points no longer carry ``workers`` (trajectory-level fan-out is gone).
+SHARD_SCHEMA_VERSION = 3
 
 #: Planning-time trajectory stand-in for adaptive points: their true count
 #: is data-dependent (early stopping), so cost-weighted acquisition uses a
@@ -138,12 +139,6 @@ DEFAULT_POLL_S = 0.5
 
 class SchedulerError(RuntimeError):
     """Raised for invalid jobs or grids, stale leases or incomplete merges."""
-
-
-#: The schema-fingerprinted :func:`point_to_json` region raises under this
-#: name; it is the same class, so every CLI's ``except SchedulerError``
-#: catches it.  Delete the alias at the next ``SHARD_SCHEMA_VERSION`` bump.
-ShardError = SchedulerError
 
 
 class LeaseLost(SchedulerError):
@@ -177,7 +172,7 @@ def point_to_json(point: SweepPoint) -> dict:
     """
     for name, value in point.workload_kwargs:
         if value is not None and not isinstance(value, (str, int, float, bool)):
-            raise ShardError(
+            raise SchedulerError(
                 f"workload kwarg {name!r}={value!r} ({type(value).__name__}) is not a "
                 "JSON primitive; sharded plans require str/int/float/bool/None kwargs"
             )
@@ -192,7 +187,6 @@ def point_to_json(point: SweepPoint) -> dict:
         "batch_size": point.batch_size,
         "axis": point.axis,
         "workload_kwargs": [[name, value] for name, value in point.workload_kwargs],
-        "workers": point.workers,
         "target_stderr": point.target_stderr,
     }
 
@@ -210,7 +204,6 @@ def point_from_json(data: dict) -> SweepPoint:
         batch_size=data["batch_size"],
         axis=data["axis"],
         workload_kwargs=tuple((name, value) for name, value in data["workload_kwargs"]),
-        workers=data["workers"],
         target_stderr=data["target_stderr"],
     )
 
@@ -1079,8 +1072,8 @@ def run_driver(points: Sequence[SweepPoint], args: argparse.Namespace) -> int:
         return 0
     if args.max_workers is not None or args.csv is not None or args.json_out is not None:
         print(
-            "error: --max-workers/--csv/--json apply to a local run; with --dir pass "
-            "them to `scheduler work` and `scheduler merge`"
+            "error: --max-workers/--csv/--json apply to a local run; with --dir run "
+            "several `scheduler work` processes and pass --csv/--json to `scheduler merge`"
         )
         return 2
     try:
@@ -1141,7 +1134,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     work_parser.add_argument("--ttl", type=float, default=None, help="lease ttl in seconds")
     work_parser.add_argument("--poll", type=float, default=None, help="idle poll in seconds")
     work_parser.add_argument("--max-points", type=int, default=None)
-    work_parser.add_argument("--max-workers", type=int, default=None, help="processes per point")
     work_parser.add_argument("--no-heartbeat", action="store_true")
 
     status_parser = commands.add_parser("status", help="summarize job progress")
@@ -1167,7 +1159,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             worker = LeasedWorker(
                 args.job_dir,
                 worker_id=args.worker_id,
-                runner=SweepRunner(max_workers=args.max_workers),
                 ttl=args.ttl,
                 poll=args.poll,
                 max_points=args.max_points,

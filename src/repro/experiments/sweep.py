@@ -13,12 +13,17 @@ one engine:
   unique compilation instead of recomputing it), estimates EPS and runs the
   batched trajectory simulation for one point,
 * :class:`SweepRunner` — fans a list of points (or any picklable tasks via
-  :meth:`SweepRunner.map`) across ``ProcessPoolExecutor`` workers, keeping
-  deterministic result order, and optionally writes CSV / JSON artifacts.
+  :meth:`SweepRunner.map`) across ``ProcessPoolExecutor`` workers, one point
+  per task, keeping deterministic result order, and optionally writes CSV /
+  JSON artifacts.
 
-Results are independent of the worker count and of the batch size: each
-point owns a seed, every trajectory draws from its own spawned stream, and
-every block size of the trajectory engine gives the same bits.
+This pool is the only process-level fan-out in the package: a point's
+trajectories always run in the process that evaluates the point.  More
+cores on one host mean ``SweepRunner(max_workers=n)`` or several leased
+workers (:mod:`repro.experiments.scheduler`).  Results are independent of
+the pool size and of the batch size: each point owns a seed, every
+trajectory draws from its own spawned stream, and every block size of the
+trajectory engine gives the same bits.
 
 The figure drivers go one level further.  They evaluate grids through the
 artifact graph (:mod:`repro.artifacts`), whose table provider persists
@@ -36,7 +41,7 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -81,11 +86,6 @@ _AUTO_BATCH_DIM_LIMIT = 1 << 16
 class SweepPoint:
     """One point of a sweep grid, fully described by picklable values.
 
-    ``workers`` fans this point's *trajectories* across processes (see
-    ``TrajectorySimulator.average_fidelity``); results are bit-for-bit
-    independent of the value.  ``None`` leaves the count to the runner's
-    scheduling (point-level fan-out keeps it at 1).
-
     ``target_stderr`` opts the point into the adaptive sampling mode
     (:mod:`repro.noise.adaptive`): trajectories run until the estimator's
     standard error reaches the target, with ``num_trajectories`` as the hard
@@ -93,7 +93,7 @@ class SweepPoint:
     ``REPRO_ADAPTIVE_MAX_TRAJ``).  Adaptive rows carry the extra
     ``n_used`` / ``stderr`` / ``ess`` columns and are reproducible like
     fixed-count rows — same seed and config give identical bytes for any
-    worker count or lease schedule.
+    pool size or lease schedule.
     """
 
     workload: str
@@ -106,7 +106,6 @@ class SweepPoint:
     batch_size: int | str | None = "auto"
     axis: float | None = None  # the swept value, carried through to results
     workload_kwargs: tuple[tuple[str, Any], ...] = ()
-    workers: int | None = None  # trajectory-level processes for this point
     target_stderr: float | None = None  # adaptive mode opt-in (None: fixed count)
 
     @property
@@ -213,7 +212,6 @@ def evaluate_point(
             physical,
             num_trajectories=point.num_trajectories,
             batch_size=_resolve_batch_size(point, hilbert_dim),
-            workers=point.workers,
             target_stderr=point.target_stderr,
         )
     return StrategyEvaluation(
@@ -232,11 +230,7 @@ def point_key(point: SweepPoint) -> str:
     The key is a SHA-256 over every result-bearing field (``repr`` of the
     floats, so distinct values never collide), identical across processes
     and machines — lease jobs and failure artifacts use it to name
-    points durably.  ``workers`` is deliberately excluded: it is a
-    scheduling-only knob that never changes results (the bit-for-bit
-    invariant), and :meth:`SweepRunner.schedule` rewrites it to a
-    machine-dependent count — hashing it would make the same grid point key
-    differently on different hosts.
+    points durably.
 
     ``target_stderr`` enters the key only when set: default (fixed-count)
     points keep exactly their pre-adaptive keys, so existing plans,
@@ -355,19 +349,7 @@ class SweepRunner:
     ``max_workers=None`` uses ``os.cpu_count()``; with one worker the sweep
     runs inline (sharing the in-process compilation cache), which is also the
     fallback whenever process pools are unavailable.  Results always come
-    back in input order.
-
-    Two levels of parallelism are scheduled per grid: *point-level* fan-out
-    (one process per point, the PR-1 behavior) suits wide grids of small
-    registers, while *trajectory-level* fan-out (points evaluated one at a
-    time, each point's trajectories split across all workers via
-    ``SweepPoint.workers``) suits few-point/large-register grids, where
-    point fan-out would leave most cores idle on one memory-bandwidth-bound
-    statevector.  ``trajectory_workers="auto"`` (the default) picks
-    trajectory-level scheduling whenever the grid has fewer simulated points
-    than workers; an integer forces that many trajectory processes per
-    point; ``None``/1 disables the mode.  Either way the per-point results
-    are bit-for-bit identical — scheduling only moves wall-clock.
+    back in input order, bit-for-bit identical for every pool size.
     """
 
     def __init__(
@@ -375,17 +357,11 @@ class SweepRunner:
         max_workers: int | None = None,
         csv_path: str | Path | None = None,
         json_path: str | Path | None = None,
-        trajectory_workers: int | str | None = "auto",
         failures_path: str | Path | None = None,
     ):
         self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if isinstance(trajectory_workers, int) and trajectory_workers < 1:
-            raise ValueError("trajectory_workers must be at least 1")
-        if isinstance(trajectory_workers, str) and trajectory_workers != "auto":
-            raise ValueError("trajectory_workers must be an int, None or 'auto'")
-        self.trajectory_workers = trajectory_workers
         self.csv_path = Path(csv_path) if csv_path is not None else None
         self.json_path = Path(json_path) if json_path is not None else None
         if failures_path is not None:
@@ -436,39 +412,6 @@ class SweepRunner:
         """Apply ``function`` to every task, in order, possibly in parallel."""
         return list(self.iter_map(function, tasks))
 
-    # -- scheduling ---------------------------------------------------------------
-    def schedule(self, points: Sequence[SweepPoint]) -> tuple[list[SweepPoint], bool]:
-        """Choose point- or trajectory-level parallelism for a grid.
-
-        Returns ``(points, trajectory_level)``.  With trajectory-level
-        scheduling the points come back annotated with ``workers`` (explicit
-        per-point values are respected) and must be evaluated inline, one at
-        a time — their trajectories own the process pool instead.
-        """
-        points = list(points)
-        setting = self.trajectory_workers
-        if setting is None or setting == 1:
-            return points, False
-        simulated = sum(1 for p in points if _point_simulates(p))
-        if simulated == 0:
-            return points, False
-        if setting == "auto":
-            # Compare the *simulated* point count: compile-only points finish
-            # in negligible time, so a grid padded with them is still the
-            # few-point regime where point fan-out would idle most cores.
-            if self.max_workers == 1 or simulated >= self.max_workers:
-                return points, False
-            inner = self.max_workers
-        else:
-            inner = setting
-        annotated = [
-            replace(p, workers=inner)
-            if _point_simulates(p) and p.workers is None
-            else p
-            for p in points
-        ]
-        return annotated, True
-
     # -- sweep-point evaluation ---------------------------------------------------
     def iter_evaluate(
         self, points: Sequence[SweepPoint]
@@ -476,20 +419,13 @@ class SweepRunner:
         """Yield ``(index, outcome)`` per point, in order, as results arrive.
 
         This is the single point-execution engine shared by :meth:`run` and
-        the leased worker (:mod:`repro.experiments.scheduler`): scheduling
-        (point-level versus trajectory-level fan-out) and per-point failure
-        capture live here, so both paths behave identically.  Outcomes are
-        either a :class:`~repro.experiments.runner.StrategyEvaluation` or a
+        the leased worker (:mod:`repro.experiments.scheduler`): the point
+        pool and per-point failure capture live here, so both paths behave
+        identically.  Outcomes are either a
+        :class:`~repro.experiments.runner.StrategyEvaluation` or a
         :class:`PointFailure` — exceptions never abort the remaining points.
         """
-        points = list(points)
-        scheduled, trajectory_level = self.schedule(points)
-        if trajectory_level:
-            # Points run inline; each point's trajectories fan out instead.
-            for index, point in enumerate(scheduled):
-                yield index, _evaluate_point_guarded(point)
-        else:
-            yield from enumerate(self.iter_map(_evaluate_point_guarded, scheduled))
+        yield from enumerate(self.iter_map(_evaluate_point_guarded, points))
 
     def run(self, points: Sequence[SweepPoint]) -> list[StrategyEvaluation]:
         """Evaluate every point and write the configured artifacts.

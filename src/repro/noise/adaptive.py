@@ -14,8 +14,8 @@ accumulator (:class:`repro.noise.stats.RunningStats`) decides whether the
 estimator's standard error has reached ``target_stderr``.  Stopping is
 round-granular and the statistic is accumulated in trajectory-index order,
 so the decision — and therefore every reported number — is a pure function
-of the seeded draw sequence: identical for any worker count, lease schedule
-or batch size.
+of the seeded draw sequence: identical for any sweep pool size, lease
+schedule or batch size.
 
 **First-deviation importance sampling.**  Each round is first classified by
 :func:`~repro.noise.fastpath.prescan_trajectories`: the draw replay
@@ -23,10 +23,9 @@ locates every trajectory's first deviation without touching a statevector
 and yields, per trajectory, the *exact* clean-stratum probability ``p_i``
 and the clean fidelity ``F_c,i`` straight from the no-jump record.  Only
 the deviating trajectories are then actually simulated — resumed from the
-round's own checkpoints, or through the explicit engine in worker
-processes, bit-identically either way — so their fidelities are the
-standard values; clean ones are served by the record at near-zero cost.
-The round's records are dropped when the round ends.  The per-trajectory
+round's own checkpoints, bit-identically to the explicit engine — so their
+fidelities are the standard values; clean ones are served by the record at
+near-zero cost.  The round's records are dropped when the round ends.  The per-trajectory
 estimator contribution is the stratified form
 
     ``g_i = p_i * F_c,i + (1 - p_i) * c  +  [deviated] * (F_i - c)``
@@ -68,7 +67,6 @@ from repro.noise.trajectory import TrajectoryResult, _default_state_sampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.physical import PhysicalCircuit
-    from repro.noise.fastpath import Resume
     from repro.noise.trajectory import TrajectorySimulator
 
 __all__ = [
@@ -88,11 +86,6 @@ MAX_TRAJ_ENV = "REPRO_ADAPTIVE_MAX_TRAJ"
 
 _DEFAULT_ROUND = 32
 _DEFAULT_MAX_TRAJECTORIES = 4096
-
-#: Deviating-subset fan-out keeps at least this many trajectories per
-#: worker: a round's handful of deviating streams is not worth a process
-#: pool of one-trajectory chunks.
-_MIN_DEV_CHUNK = 8
 
 
 def adaptive_round_size() -> int:
@@ -198,53 +191,6 @@ def stratified_contributions(
     return contributions
 
 
-def _simulate_deviating(
-    simulator: "TrajectorySimulator",
-    physical: "PhysicalCircuit",
-    streams: list[np.random.Generator],
-    resumes: "list[Resume]",
-    user_sampler: Callable[[np.random.Generator], np.ndarray] | None,
-    sampler: Callable[[np.random.Generator], np.ndarray],
-    batch_size: int | None,
-    workers: int,
-) -> list[float]:
-    """Simulate the deviating subset, bit-identically to a fixed-count run.
-
-    In process, each stream resumes from its prescan checkpoint
-    (``resumes[j]`` belongs to ``streams[j]``).  When the subset is large
-    enough to give every worker at least ``_MIN_DEV_CHUNK`` streams, it fans
-    out instead and each worker runs the explicit engine.  Either way each
-    returned fidelity is what a fixed-count run computes for the same
-    stream.
-    """
-    if not streams:
-        return []
-    fan_out = min(workers, len(streams) // _MIN_DEV_CHUNK)
-    if fan_out > 1:
-        from repro.noise.parallel import run_parallel_fidelities
-
-        return run_parallel_fidelities(
-            physical=physical,
-            noise_model=simulator.noise_model,
-            streams=streams,
-            sampler=user_sampler,  # None: workers rebuild the default
-            batch_size=batch_size,
-            workers=fan_out,
-            fuse=simulator.fuse,
-        )
-    from repro.noise.fastpath import run_fastpath_fidelities
-
-    return run_fastpath_fidelities(
-        physical,
-        simulator.noise_model,
-        simulator.program_for(physical),
-        streams,
-        sampler,
-        resumes,
-        block_size=batch_size,
-    )
-
-
 def adaptive_average_fidelity(
     simulator: "TrajectorySimulator",
     physical: "PhysicalCircuit",
@@ -253,27 +199,25 @@ def adaptive_average_fidelity(
     max_trajectories: int | None = None,
     initial_state_sampler: Callable[[np.random.Generator], np.ndarray] | None = None,
     batch_size: int | None = None,
-    workers: int | str | None = None,
 ) -> AdaptiveResult:
     """Estimate the mean fidelity to ``target_stderr`` with adaptive rounds.
 
     Rounds of :func:`adaptive_round_size` streams are spawned from
     ``simulator.rng`` (the same spawn sequence as a fixed-count run),
     classified by the no-jump prescan, and only the deviating streams are
-    simulated.  The run stops at the end of the first round whose
-    accumulated standard error reaches ``target_stderr``, or at
-    ``max_trajectories`` (default ``REPRO_ADAPTIVE_MAX_TRAJ``), whichever
-    comes first — check :attr:`AdaptiveResult.converged`.
+    simulated, each resumed from its own prescan checkpoint.  The run stops
+    at the end of the first round whose accumulated standard error reaches
+    ``target_stderr``, or at ``max_trajectories`` (default
+    ``REPRO_ADAPTIVE_MAX_TRAJ``), whichever comes first — check
+    :attr:`AdaptiveResult.converged`.
 
     The returned numbers are a pure function of the seed and the
-    configuration: identical for any ``workers`` value (in-process
-    checkpoint resume and the workers' explicit engine agree bit for bit,
-    per the standing invariants).
+    configuration: each resumed stream returns exactly the fidelity a
+    fixed-count run computes for it (the standing invariants).
     """
     import math
 
-    from repro.noise.fastpath import prescan_trajectories
-    from repro.noise.parallel import resolve_workers
+    from repro.noise.fastpath import prescan_trajectories, run_fastpath_fidelities
 
     if not (isinstance(target_stderr, (int, float)) and math.isfinite(target_stderr)):
         raise ValueError(f"target_stderr must be a finite float, got {target_stderr!r}")
@@ -283,7 +227,6 @@ def adaptive_average_fidelity(
     if cap < 1:
         raise ValueError("need at least one trajectory")
     per_round = adaptive_round_size()
-    worker_count = resolve_workers(workers)
     program = simulator.program_for(physical)
     sampler = initial_state_sampler or _default_state_sampler(physical, program.dims)
 
@@ -311,15 +254,14 @@ def adaptive_average_fidelity(
         # round's mean clean fidelity — a function of the input states only.
         baseline = dev_stats.mean if dev_stats.count else float(np.mean(prescan.clean_fidelity))
         deviating_rows = np.flatnonzero(~prescan.clean)
-        deviating_fidelities = _simulate_deviating(
-            simulator,
+        deviating_fidelities = run_fastpath_fidelities(
             physical,
+            simulator.noise_model,
+            program,
             [streams[int(row)] for row in deviating_rows],
-            prescan.resumes,
-            initial_state_sampler,
             sampler,
-            batch_size,
-            worker_count,
+            prescan.resumes,
+            block_size=batch_size,
         )
         contributions = stratified_contributions(
             prescan.clean_probability,

@@ -2,8 +2,8 @@
 
 This is the one trajectory engine: fixed-count runs
 (:meth:`~repro.noise.trajectory.TrajectorySimulator.average_fidelity`, one
-row per block by default), the multi-core workers and the adaptive
-checkpoint resume all step their trajectories through it.  It executes a
+row per block by default) and the adaptive checkpoint resume both step
+their trajectories through it.  It executes a
 compiled :class:`~repro.noise.program.TrajectoryProgram` and applies every
 kernel to a whole block of statevectors: one gather / broadcast multiply /
 einsum / GEMM per scheduled event instead of one per event per trajectory.

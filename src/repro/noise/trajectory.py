@@ -110,7 +110,6 @@ class TrajectorySimulator:
         num_trajectories: int | str = 100,
         initial_state_sampler: Callable[[np.random.Generator], np.ndarray] | None = None,
         batch_size: int | None = None,
-        workers: int | str | None = None,
         target_stderr: float | None = None,
     ) -> TrajectoryResult:
         """Average trajectory fidelity over random input states.
@@ -128,13 +127,6 @@ class TrajectorySimulator:
         ``batch_size=None`` evolves one statevector per block.  Every block
         size is bit-for-bit equivalent under the same seed.
 
-        ``workers=n`` splits the spawned streams across ``n`` processes
-        (``"auto"``: one per CPU).  Each trajectory still consumes exactly
-        its own stream, so the fidelities are bit-for-bit identical to the
-        ``workers=1`` path for every worker count — only wall-clock changes.
-        Custom ``initial_state_sampler`` callables must be picklable when
-        the platform lacks ``fork`` (the default sampler always works).
-
         ``target_stderr`` opts into the adaptive sampling mode
         (:mod:`repro.noise.adaptive`): trajectories run in deterministic
         rounds until the estimator's standard error reaches the target, and
@@ -142,8 +134,8 @@ class TrajectorySimulator:
         (``num_trajectories="auto"`` uses ``REPRO_ADAPTIVE_MAX_TRAJ``).  The
         returned :class:`~repro.noise.adaptive.AdaptiveResult` is
         reproducible like the fixed-count path — same seed and config give
-        identical numbers for any worker count — but is
-        a *statistical estimator*, not the plain trajectory mean.
+        identical numbers — but is a *statistical estimator*, not the plain
+        trajectory mean.
         """
         if target_stderr is not None or num_trajectories == "auto":
             if target_stderr is None:
@@ -169,7 +161,6 @@ class TrajectorySimulator:
                 max_trajectories=cap,
                 initial_state_sampler=initial_state_sampler,
                 batch_size=batch_size,
-                workers=workers,
             )
         if not isinstance(num_trajectories, int):
             raise ValueError(
@@ -179,23 +170,7 @@ class TrajectorySimulator:
             raise ValueError("need at least one trajectory")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        from repro.noise.parallel import resolve_workers
-
-        workers = resolve_workers(workers)
         streams = self.rng.spawn(num_trajectories)
-        if workers > 1 and num_trajectories > 1:
-            from repro.noise.parallel import run_parallel_fidelities
-
-            fidelities = run_parallel_fidelities(
-                physical=physical,
-                noise_model=self.noise_model,
-                streams=streams,
-                sampler=initial_state_sampler,  # None: workers rebuild the default
-                batch_size=batch_size,
-                workers=workers,
-                fuse=self.fuse,
-            )
-            return TrajectoryResult(fidelities=fidelities)
         sampler = initial_state_sampler or _default_state_sampler(physical, self.program_for(physical).dims)
         return TrajectoryResult(
             fidelities=self._fidelities_for_streams(physical, streams, sampler, batch_size)
@@ -208,10 +183,9 @@ class TrajectorySimulator:
         sampler: Callable[[np.random.Generator], np.ndarray],
         batch_size: int | None,
     ) -> list[float]:
-        """Per-trajectory fidelities of pre-spawned streams (single process).
+        """Per-trajectory fidelities of pre-spawned streams.
 
-        This is the common core of the single-core path and of every worker
-        of the multi-core runner: one stream in, one fidelity out.  Streams
+        One stream in, one fidelity out.  Streams
         run through the engine in blocks of ``batch_size`` (``None``: one
         trajectory per block), and every block size gives the same bits.
         """
@@ -259,7 +233,6 @@ def simulate_fidelity(
     num_trajectories: int = 100,
     rng: np.random.Generator | int | None = None,
     batch_size: int | None = None,
-    workers: int | str | None = None,
 ) -> TrajectoryResult:
     """Convenience wrapper: average noisy fidelity of a compiled circuit."""
     physical = compiled.physical_circuit if isinstance(compiled, CompilationResult) else compiled
@@ -268,5 +241,4 @@ def simulate_fidelity(
         physical,
         num_trajectories=num_trajectories,
         batch_size=batch_size,
-        workers=workers,
     )

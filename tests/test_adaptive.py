@@ -37,14 +37,13 @@ from helpers import mixed_physical
 PHYSICAL = mixed_physical("adaptive-mixed")
 
 
-def _run(seed=7, target=5e-3, workers=None, cap="auto", batch_size=8) -> AdaptiveResult:
+def _run(seed=7, target=5e-3, cap="auto", batch_size=8) -> AdaptiveResult:
     simulator = TrajectorySimulator(NoiseModel(), rng=seed)
     return simulator.average_fidelity(
         PHYSICAL,
         num_trajectories=cap,
         target_stderr=target,
         batch_size=batch_size,
-        workers=workers,
     )
 
 
@@ -68,9 +67,6 @@ def _same_bits(a: AdaptiveResult, b: AdaptiveResult) -> bool:
 class TestDeterminism:
     def test_bit_identical_across_reruns(self):
         assert _same_bits(_run(), _run())
-
-    def test_bit_identical_across_worker_counts(self):
-        assert _same_bits(_run(workers=None), _run(workers=2))
 
     def test_bit_identical_across_batch_sizes(self):
         assert _same_bits(_run(batch_size=8), _run(batch_size=3))

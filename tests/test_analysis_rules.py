@@ -143,6 +143,20 @@ def test_pool_rule_exempts_sweep_engine(tmp_path: Path) -> None:
     assert [f.rule_id for f in run_on(experiments / "rogue.py")] == ["ENG001"]
 
 
+def test_source_tree_has_one_process_pool() -> None:
+    # ENG001 can be silenced per line; the tree must not need that.  Only
+    # the sweep engine names a process pool or multiprocessing at all (the
+    # rule's own name list aside), and nothing suppresses ENG001.
+    package = Path(__file__).parents[1] / "src" / "repro"
+    naming = []
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "disable=ENG001" not in text, f"{path} suppresses ENG001"
+        if "ProcessPoolExecutor" in text or "multiprocessing" in text:
+            naming.append(path.relative_to(package).as_posix())
+    assert naming == ["analysis/rules.py", "experiments/sweep.py"]
+
+
 def test_lease_rule_exempts_the_coordinator_module(tmp_path: Path) -> None:
     source = 'SUFFIX = ".lease"\n'
     experiments = tmp_path / "repro" / "experiments"

@@ -278,14 +278,6 @@ class TestPointResultLayer:
         graph_run([changed], tmp_path, label="changed")
         assert len(simulations) == 1, "a changed point was served the base point's result"
 
-    def test_workers_share_the_key(self, tmp_path, shared_cache, simulations):
-        base, _ = graph_run([BASE_POINT], tmp_path, label="base")
-        del simulations[:]
-        fresh_process()
-        pooled, _ = graph_run([dataclasses.replace(BASE_POINT, workers=2)], tmp_path, "pooled")
-        assert simulations == []
-        assert pooled.csv_path.read_bytes() == base.csv_path.read_bytes()
-
     def test_adaptive_round_size_enters_only_adaptive_keys(
         self, tmp_path, shared_cache, simulations, monkeypatch
     ):

@@ -40,7 +40,6 @@ from repro.noise.fastpath import (
     stats,
 )
 from repro.noise.model import NoiseModel
-from repro.noise.parallel import run_parallel_fidelities
 from repro.noise.program import (
     GateStep,
     IdleStep,
@@ -334,24 +333,6 @@ class TestFastpathEquality:
         fidelities, _ = _prescan_resume(physical, NoiseModel(), 5, 8, batch_size=4)
         assert fidelities == reference
 
-    def test_fastpath_with_workers_matches_single_core(self):
-        # Deviating streams that fan out to workers run the explicit engine;
-        # in process they resume from their checkpoints.  Same bits.
-        physical = _physical()
-        resumed, prescan = _prescan_resume(physical, JUMPY, 9, 10, batch_size=4)
-        deviating = np.flatnonzero(~prescan.clean)
-        assert len(deviating) >= 2
-        streams = TrajectorySimulator(JUMPY, rng=9).rng.spawn(10)
-        fanned = run_parallel_fidelities(
-            physical=physical,
-            noise_model=JUMPY,
-            streams=[streams[row] for row in deviating],
-            sampler=None,
-            batch_size=4,
-            workers=2,
-        )
-        assert fanned == [resumed[row] for row in deviating]
-
     def test_fastpath_fused_equals_unfused(self):
         physical = _physical()
         fused, _ = _prescan_resume(physical, NoiseModel(), 3, 8, batch_size=4, fuse=True)
@@ -429,13 +410,11 @@ class TestFastpathEquality:
 
 
 class TestRecordLifetime:
-    @pytest.mark.parametrize(
-        ("batch_size", "workers"), ((None, None), (3, None), (3, 2)), ids=("loop", "batched", "workers")
-    )
-    def test_fixed_count_runs_build_no_records(self, batch_size, workers):
+    @pytest.mark.parametrize("batch_size", (None, 3), ids=("loop", "batched"))
+    def test_fixed_count_runs_build_no_records(self, batch_size):
         physical = _physical()
         TrajectorySimulator(JUMPY, rng=2).average_fidelity(
-            physical, num_trajectories=6, batch_size=batch_size, workers=workers
+            physical, num_trajectories=6, batch_size=batch_size
         )
         assert stats()["records_built"] == 0
         assert _live_records() == 0
@@ -449,6 +428,17 @@ class TestRecordLifetime:
         assert stats()["records_built"] == result.n_used
         assert stats()["record_memory_hits"] == stats()["record_disk_hits"] == 0
         assert _live_records() == 0
+
+    @pytest.mark.parametrize("batch_size", (None, 8), ids=("loop", "batched"))
+    def test_adaptive_runs_resume_every_deviating_stream(self, batch_size):
+        # Adaptive rounds have one execution path: every deviating stream
+        # resumes from its own checkpoint in the calling process.
+        result = TrajectorySimulator(JUMPY, rng=4).average_fidelity(
+            _physical(), num_trajectories=96, target_stderr=1e-6, batch_size=batch_size
+        )
+        assert len(result.rounds) > 1
+        assert result.n_deviating >= 16
+        assert stats()["resumed"] == result.n_deviating
 
     def test_records_never_touch_compile_log(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

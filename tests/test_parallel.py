@@ -1,200 +1,174 @@
-"""Tests for the shared-memory multi-core trajectory runner.
+"""Point-pool equivalence: any ``max_workers`` == ``max_workers=1``.
 
-The contract (ISSUE 2 acceptance): ``average_fidelity(batch_size=k,
-workers=n)`` is bit-for-bit equal to the ``workers=1`` path under a
-fixed seed for n in {1, 2, 4} — the per-trajectory RNG streams make the
-result a pure function of (seed, trajectory index), so worker count and
-chunking only move wall-clock.
+:class:`~repro.experiments.sweep.SweepRunner`'s point pool is the only
+process pool in the package; a point's trajectories always run in the
+process that evaluates the point.  Every point owns a seed and every
+trajectory draws from its own spawned stream, so the pool size moves
+wall-clock only: the CSV and JSON artifacts of ``max_workers`` 2 and 4
+must equal the serial run's byte for byte — on grids with fewer simulated
+points than pool processes, on a grid wider than the pool, and with an
+adaptive point in the grid.
 """
 
-import numpy as np
+import json
+import os
+from dataclasses import replace
+
 import pytest
 
-from repro.core.strategies import Strategy
-from repro.experiments.sweep import SweepPoint, SweepRunner, evaluate_point, point_seeds
-from repro.noise.model import NoiseModel
-from repro.noise.parallel import resolve_workers, run_parallel_fidelities, split_chunks
+from repro.experiments.sweep import (
+    SweepFailure,
+    SweepPoint,
+    SweepRunner,
+    _point_simulates,
+    point_key,
+)
+from repro.noise.adaptive import adaptive_average_fidelity
 from repro.noise.trajectory import TrajectorySimulator, simulate_fidelity
-from helpers import mixed_physical
+from helpers import mini_points, mixed_physical
+
+POOL_SIZES = (2, 4)
+
+#: One adaptive point (a single 16-trajectory round under the default
+#: round size), small enough to sit next to the fixed-count mini-grid.
+ADAPTIVE_POINT = SweepPoint(
+    workload="cnu",
+    size=5,
+    strategy="MIXED_RADIX_CCZ",
+    num_trajectories=16,
+    seed=5,
+    target_stderr=0.05,
+)
+
+GRIDS = ("one-point", "two-points", "one-simulated-among-compile-only", "six-points", "with-adaptive")
 
 
-def _physical(strategy=Strategy.MIXED_RADIX_CCZ):
-    return mixed_physical("parallel-equivalence", strategy=strategy, cswap=False)
+def _grid(name):
+    simulated = mini_points(num_trajectories=3)
+    compile_only = mini_points(num_trajectories=0)
+    return {
+        "one-point": simulated[:1],
+        "two-points": simulated[:2],
+        "one-simulated-among-compile-only": compile_only[:2] + simulated[2:3],
+        "six-points": simulated,
+        "with-adaptive": simulated[:5] + [ADAPTIVE_POINT],
+    }[name]
 
 
-class TestHelpers:
-    def test_resolve_workers(self):
-        assert resolve_workers(None) == 1
-        assert resolve_workers(3) == 3
-        assert resolve_workers("auto") >= 1
-
-    def test_resolve_workers_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-
-    def test_split_chunks_cover_everything_in_order(self):
-        for count, workers in ((10, 4), (3, 8), (7, 1), (5, 5)):
-            chunks = split_chunks(count, workers)
-            assert chunks[0][0] == 0 and chunks[-1][1] == count
-            for (_, stop), (start, _) in zip(chunks, chunks[1:]):
-                assert stop == start
-            sizes = [stop - start for start, stop in chunks]
-            assert max(sizes) - min(sizes) <= 1  # balanced
-
-    def test_split_chunks_rejects_empty(self):
-        with pytest.raises(ValueError):
-            split_chunks(0, 2)
+def _pid(_task):
+    return os.getpid()
 
 
-class TestWorkerEquivalence:
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    @pytest.mark.parametrize("batch_size", (None, 3))
-    def test_workers_bitwise_equal_to_single_core(self, workers, batch_size):
-        physical = _physical()
-        reference = TrajectorySimulator(NoiseModel(), rng=42).average_fidelity(
-            physical, num_trajectories=10
-        )
-        parallel = TrajectorySimulator(NoiseModel(), rng=42).average_fidelity(
-            physical, num_trajectories=10, batch_size=batch_size, workers=workers
-        )
-        assert parallel.fidelities == reference.fidelities
-
-    @pytest.mark.parametrize("strategy", (Strategy.QUBIT_ONLY, Strategy.FULL_QUQUART))
-    def test_workers_equivalence_across_regimes(self, strategy):
-        physical = _physical(strategy)
-        reference = TrajectorySimulator(NoiseModel(), rng=7).average_fidelity(
-            physical, num_trajectories=6
-        )
-        parallel = TrajectorySimulator(NoiseModel(), rng=7).average_fidelity(
-            physical, num_trajectories=6, workers=2
-        )
-        assert parallel.fidelities == reference.fidelities
-
-    def test_more_workers_than_trajectories(self):
-        physical = _physical()
-        reference = TrajectorySimulator(NoiseModel(), rng=1).average_fidelity(
-            physical, num_trajectories=3
-        )
-        parallel = TrajectorySimulator(NoiseModel(), rng=1).average_fidelity(
-            physical, num_trajectories=3, workers=8
-        )
-        assert parallel.fidelities == reference.fidelities
-
-    def test_single_trajectory_stays_inline(self):
-        physical = _physical()
-        reference = TrajectorySimulator(NoiseModel(), rng=2).average_fidelity(
-            physical, num_trajectories=1
-        )
-        parallel = TrajectorySimulator(NoiseModel(), rng=2).average_fidelity(
-            physical, num_trajectories=1, workers=4
-        )
-        assert parallel.fidelities == reference.fidelities
-
-    def test_workers_validation(self):
-        physical = _physical()
-        simulator = TrajectorySimulator(NoiseModel(), rng=0)
-        with pytest.raises(ValueError):
-            simulator.average_fidelity(physical, num_trajectories=2, workers=0)
-
-    def test_simulate_fidelity_passes_workers(self):
-        physical = _physical()
-        reference = simulate_fidelity(physical, num_trajectories=4, rng=0)
-        parallel = simulate_fidelity(physical, num_trajectories=4, rng=0, workers=2)
-        assert parallel.fidelities == reference.fidelities
-
-    def test_run_parallel_fidelities_orders_results(self):
-        # Streams are stateful: spawn a fresh set per run from the same seed.
-        physical = _physical()
-        reference = run_parallel_fidelities(
-            physical,
-            NoiseModel(),
-            np.random.default_rng(6).spawn(7),
-            sampler=None,
-            batch_size=None,
-            workers=1,
-        )
-        chunked = run_parallel_fidelities(
-            physical,
-            NoiseModel(),
-            np.random.default_rng(6).spawn(7),
-            sampler=None,
-            batch_size=2,
-            workers=3,
-        )
-        assert chunked == reference
+def _artifacts(points, max_workers, directory):
+    directory.mkdir(parents=True)
+    csv_path, json_path = directory / "sweep.csv", directory / "sweep.json"
+    SweepRunner(max_workers=max_workers, csv_path=csv_path, json_path=json_path).run(points)
+    return csv_path.read_bytes(), json_path.read_bytes()
 
 
-class TestSweepScheduling:
-    def _points(self, count, num_trajectories=4):
-        seeds = point_seeds(0, count)
-        return [
-            SweepPoint(
-                workload="cnu",
-                size=5,
-                strategy="MIXED_RADIX_CCZ",
-                num_trajectories=num_trajectories,
-                seed=seed,
-            )
-            for seed in seeds
-        ]
+@pytest.fixture(scope="module")
+def serial_artifacts(tmp_path_factory):
+    """The ``max_workers=1`` reference bytes of every grid, built once."""
+    root = tmp_path_factory.mktemp("serial")
+    return {name: _artifacts(_grid(name), 1, root / name) for name in GRIDS}
 
-    def test_auto_picks_trajectory_level_for_few_points(self):
-        runner = SweepRunner(max_workers=4)
-        scheduled, trajectory_level = runner.schedule(self._points(2))
-        assert trajectory_level
-        assert all(p.workers == 4 for p in scheduled)
 
-    def test_auto_keeps_point_level_for_wide_grids(self):
-        runner = SweepRunner(max_workers=2)
-        scheduled, trajectory_level = runner.schedule(self._points(6))
-        assert not trajectory_level
-        assert all(p.workers is None for p in scheduled)
+@pytest.mark.parametrize("max_workers", POOL_SIZES)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_pool_writes_the_serial_bytes(grid, max_workers, serial_artifacts, tmp_path):
+    serial_csv, serial_json = serial_artifacts[grid]
+    pooled_csv, pooled_json = _artifacts(_grid(grid), max_workers, tmp_path / "pool")
+    assert pooled_csv == serial_csv
+    assert pooled_json == serial_json
 
-    def test_explicit_point_workers_are_respected(self):
-        runner = SweepRunner(max_workers=4)
-        points = self._points(2)
-        points[0] = SweepPoint(**{**points[0].__dict__, "workers": 1})
-        scheduled, trajectory_level = runner.schedule(points)
-        assert trajectory_level
-        assert scheduled[0].workers == 1 and scheduled[1].workers == 4
 
-    def test_disabled_trajectory_workers(self):
-        runner = SweepRunner(max_workers=4, trajectory_workers=None)
-        _, trajectory_level = runner.schedule(self._points(2))
-        assert not trajectory_level
+def test_grids_cover_both_sides_of_the_pool_width():
+    # The narrow grids have fewer simulated points than the largest pool
+    # (where a per-point trajectory pool was once chosen instead), the
+    # six-point grid more points than the two-process pool.
+    for name in ("one-point", "two-points", "one-simulated-among-compile-only"):
+        simulated = sum(_point_simulates(point) for point in _grid(name))
+        assert simulated < max(POOL_SIZES)
+    assert len(_grid("six-points")) > min(POOL_SIZES)
 
-    def test_eps_only_grids_stay_point_level(self):
-        runner = SweepRunner(max_workers=4)
-        _, trajectory_level = runner.schedule(self._points(2, num_trajectories=0))
-        assert not trajectory_level
 
-    def test_compile_only_padding_does_not_mask_few_point_grids(self):
-        # 6 eps-only points + 2 simulated points on 8 workers is still the
-        # few-point regime: the threshold counts simulated points only.
-        runner = SweepRunner(max_workers=8)
-        points = self._points(6, num_trajectories=0) + self._points(2)
-        scheduled, trajectory_level = runner.schedule(points)
-        assert trajectory_level
-        assert [p.workers for p in scheduled] == [None] * 6 + [8, 8]
+def test_adaptive_grid_writes_adaptive_columns(serial_artifacts):
+    # Guards the with-adaptive case against comparing two fixed-count runs.
+    csv_bytes, _ = serial_artifacts["with-adaptive"]
+    header = csv_bytes.decode().splitlines()[0].split(",")
+    assert {"n_used", "stderr", "ess"} <= set(header)
 
-    def test_invalid_trajectory_workers(self):
-        with pytest.raises(ValueError):
-            SweepRunner(trajectory_workers=0)
-        with pytest.raises(ValueError):
-            SweepRunner(trajectory_workers="sideways")
 
-    def test_point_workers_do_not_change_results(self):
-        base = self._points(1)[0]
-        reference = evaluate_point(base).simulation.fidelities
-        parallel = evaluate_point(
-            SweepPoint(**{**base.__dict__, "workers": 2})
-        ).simulation.fidelities
-        assert parallel == reference
+def test_pooled_runs_leave_the_parent_process():
+    # With more than one task, max_workers > 1 really evaluates in children.
+    assert os.getpid() not in SweepRunner(max_workers=2).map(_pid, range(4))
 
-    def test_trajectory_level_run_matches_point_level(self):
-        points = self._points(2, num_trajectories=4)
-        reference = SweepRunner(max_workers=1, trajectory_workers=None).run(points)
-        parallel = SweepRunner(max_workers=2, trajectory_workers=2).run(points)
-        assert [e.simulation.fidelities for e in reference] == [
-            e.simulation.fidelities for e in parallel
-        ]
+
+def _failures(points, max_workers, path):
+    runner = SweepRunner(max_workers=max_workers, failures_path=path)
+    with pytest.raises(SweepFailure) as raised:
+        runner.run(points)
+    return [failure.point_key for failure in raised.value.failures], path.read_bytes()
+
+
+@pytest.mark.parametrize("max_workers", POOL_SIZES)
+def test_pool_reports_the_serial_failures(max_workers, tmp_path):
+    # A point that dies in a pool process is reported under its own key,
+    # in grid order, with the failure-record bytes of the serial run.
+    points = _grid("six-points")
+    for index in (1, 4):
+        points[index] = replace(points[index], workload="no-such-workload")
+    serial_keys, serial_bytes = _failures(points, 1, tmp_path / "serial.json")
+    pooled_keys, pooled_bytes = _failures(points, max_workers, tmp_path / "pooled.json")
+    assert serial_keys == pooled_keys == [point_key(points[1]), point_key(points[4])]
+    assert pooled_bytes == serial_bytes
+    records = json.loads(pooled_bytes)
+    assert all("no-such-workload" in record["message"] for record in records)
+
+
+@pytest.mark.parametrize("max_workers", POOL_SIZES)
+def test_iter_evaluate_streams_in_grid_order(max_workers):
+    points = _grid("six-points")
+    outcomes = list(SweepRunner(max_workers=max_workers).iter_evaluate(points))
+    assert [index for index, _ in outcomes] == list(range(len(points)))
+    assert [evaluation.strategy.name for _, evaluation in outcomes] == [
+        point.strategy for point in points
+    ]
+
+
+def test_single_task_runs_in_the_calling_process():
+    # A pool wider than the work never forks for one task.
+    assert SweepRunner(max_workers=4).map(_pid, [0]) == [os.getpid()]
+
+
+@pytest.mark.parametrize("max_workers", POOL_SIZES)
+def test_pool_on_a_cold_shared_cache_writes_the_serial_bytes(
+    max_workers, serial_artifacts, shared_cache, tmp_path
+):
+    # Pool processes racing on one cold $REPRO_CACHE_DIR may duplicate a
+    # compilation, never change a row.
+    pooled = _artifacts(_grid("six-points"), max_workers, tmp_path / "pool")
+    assert pooled == serial_artifacts["six-points"]
+    assert any(shared_cache.rglob("*.pkl")), "the pool published no compilation"
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: SweepPoint(workload="cnu", size=5, strategy="QUBIT_ONLY", workers=2),
+        lambda: SweepRunner(max_workers=1, trajectory_workers=2),
+        lambda: TrajectorySimulator(rng=0).average_fidelity(
+            mixed_physical("no-fan-out"), num_trajectories=2, workers=2
+        ),
+        lambda: simulate_fidelity(mixed_physical("no-fan-out"), num_trajectories=2, workers=2),
+        lambda: adaptive_average_fidelity(
+            TrajectorySimulator(rng=0), mixed_physical("no-fan-out"), target_stderr=0.1, workers=2
+        ),
+    ),
+    ids=("SweepPoint", "SweepRunner", "average_fidelity", "simulate_fidelity", "adaptive"),
+)
+def test_no_entry_point_takes_a_trajectory_worker_count(call):
+    # The point pool is the only process fan-out; nothing accepts a
+    # per-point trajectory worker count any more.
+    with pytest.raises(TypeError, match="workers"):
+        call()

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.compile_cache import get_cache, reset_cache
+from repro.core.compile_cache import fingerprint, get_cache, reset_cache
 from repro.core.emitter import CompilationError
 from repro.experiments import scheduler
 from repro.experiments import sweep as sweep_mod
@@ -59,9 +59,10 @@ from helpers import mini_points as _shared_mini_points
 REPO_ROOT = Path(__file__).parents[1]
 
 #: SHA-256 of the ``fifo`` job file of the ``fig7-mini`` grid at
-#: SHARD_SCHEMA_VERSION 2: a job directory planned by an earlier release must
-#: keep loading, draining and merging, so these bytes may not drift.
-FIG7_MINI_JOB_SHA256 = "567a932c57e135b831ad8eccf2afe3980c44c4500dabff606d112d99980d9503"
+#: SHARD_SCHEMA_VERSION 3: a job directory planned by an earlier release must
+#: keep loading, draining and merging, so these bytes may not drift.  Re-pinned
+#: at the v3 bump, which dropped the points' ``"workers"`` field.
+FIG7_MINI_JOB_SHA256 = "79d8841711a911398bcaee5ae21a552c15cf79d31a964621788cde3c4ca28729"
 
 
 def wait_for_lease_held_by(directory, worker_id, timeout=10.0):
@@ -214,6 +215,21 @@ class TestJobSpec:
         assert restored == point
         assert point_key(restored) == point_key(point)
 
+    def test_point_json_carries_exactly_the_schema_3_fields(self):
+        assert list(point_to_json(mini_points()[0])) == [
+            "workload",
+            "size",
+            "strategy",
+            "error_factor",
+            "coherence_scale",
+            "num_trajectories",
+            "seed",
+            "batch_size",
+            "axis",
+            "workload_kwargs",
+            "target_stderr",
+        ]
+
     def test_rejects_non_json_workload_kwargs(self, tmp_path):
         # A tuple kwarg would come back from JSON as a list, change the
         # point's key and make the stored job read as corrupt — reject it
@@ -224,6 +240,8 @@ class TestJobSpec:
             strategy="QUBIT_ONLY",
             workload_kwargs=(("taps", (1, 2)),),
         )
+        with pytest.raises(SchedulerError, match="taps"):
+            point_to_json(point)
         with pytest.raises(SchedulerError, match="taps"):
             save_job(plan_job([point]), tmp_path)
         assert not (tmp_path / "job.json").exists()
@@ -252,10 +270,40 @@ class TestJobSpec:
             range(len(points)), key=lambda index: (-spec.priorities[index], index)
         )
 
-    def test_job_file_bytes_are_stable_at_schema_2(self, tmp_path):
-        assert SHARD_SCHEMA_VERSION == 2
+    def test_job_file_bytes_are_stable_at_schema_3(self, tmp_path):
+        assert SHARD_SCHEMA_VERSION == 3
         path = save_job(plan_job(scheduler.named_grid_points("fig7-mini")), tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FIG7_MINI_JOB_SHA256
+
+    def test_schema_2_job_carrying_workers_is_refused(self, tmp_path, capsys):
+        # A job planned before v3: every point still carries the dropped
+        # trajectory-level ``"workers"`` count, under a v2 fingerprint that
+        # was valid then.  It must be refused, never drained with the
+        # count silently ignored.
+        spec = plan_job(mini_points())
+        payload = spec.to_json()
+        payload["schema"] = 2
+        payload["fingerprint"] = fingerprint(
+            [
+                "lease-job",
+                "schema:2",
+                f"policy:{spec.policy}",
+                *[point_key(point) for point in spec.points],
+                *[f"priority:{priority!r}" for priority in spec.priorities],
+            ]
+        )
+        for point in payload["points"]:
+            point["workers"] = 2
+        directory = tmp_path / "job"
+        directory.mkdir()
+        (directory / "job.json").write_text(json.dumps(payload, indent=2))
+        with pytest.raises(SchedulerError, match="job schema 2"):
+            load_job(directory)
+        with pytest.raises(SchedulerError, match="job schema 2"):
+            make_worker(directory, "w0", FakeClock())
+        assert scheduler.main(["work", "--dir", str(directory), "--no-heartbeat"]) == 2
+        assert "job schema 2" in capsys.readouterr().out
+        assert not (directory / "done").exists()
 
     @pytest.mark.parametrize("grid", ["fig7", "fig7-mini", "fig9a", "fig9a-mini"])
     def test_named_grids_save_as_jobs(self, grid, tmp_path):
@@ -536,13 +584,13 @@ class TestLeasedWorker:
         with pytest.raises(SchedulerError, match="failed"):
             merge_job(directory)
 
-    def test_failure_key_matches_job_key_under_multicore_scheduling(
+    def test_failure_key_matches_job_key_under_a_point_pool(
         self, tmp_path, shared_cache, monkeypatch
     ):
-        # One simulated point + max_workers=2 triggers trajectory-level
-        # scheduling, which annotates the point with workers=2 before
-        # evaluation.  The failure marker must still carry the *job's* point
-        # key, and once retried the point drains under the same runner.
+        # A worker whose runner owns a two-process point pool still
+        # evaluates one leased point at a time.  The failure marker must
+        # carry the *job's* point key, and once retried the point drains
+        # under the same runner.
         points = [
             SweepPoint(workload="cnu", size=5, strategy="QUBIT_ONLY", num_trajectories=2, seed=1)
         ]
@@ -555,8 +603,6 @@ class TestLeasedWorker:
 
         monkeypatch.setattr(sweep_mod, "evaluate_point", failing_evaluate)
         runner = SweepRunner(max_workers=2)
-        scheduled, trajectory_level = runner.schedule(points)
-        assert trajectory_level and scheduled[0].workers == 2  # the annotation happened
         clock = FakeClock()
         assert make_worker(directory, "w0", clock, runner=runner).run().num_failed == 1
         record = json.loads((directory / "failed" / "00000.json").read_text())
@@ -564,7 +610,7 @@ class TestLeasedWorker:
 
         monkeypatch.setattr(sweep_mod, "evaluate_point", real_evaluate)
         assert retry_failed(directory) == [0]
-        report = make_worker(directory, "w0", clock, runner=SweepRunner(max_workers=2)).run()
+        report = make_worker(directory, "w0", clock, runner=runner).run()
         assert report.num_completed == 1
         assert job_status(directory, clock=clock)["mergeable"]
 
@@ -804,8 +850,7 @@ class TestLeasedWorker:
         """A worker killed with SIGKILL strands its lease; expiry frees it.
 
         The worker runs in its own process group and the whole group is
-        killed, as when its host dies: the worker's process-pool children
-        must not outlive the test.
+        killed, as when its host dies.
         """
         points = mini_points()
         directory = tmp_path / "job"
@@ -916,7 +961,7 @@ class TestCommandLine:
         grid = ["plan", "--grid", "fig7-mini", "--policy", "cost-weighted", "--dir", directory]
         assert scheduler.main(grid) == 0
         assert scheduler.main(["merge", "--dir", directory]) == 2  # nothing landed yet
-        work = ["work", "--dir", directory, "--max-workers", "1", "--max-points", "3"]
+        work = ["work", "--dir", directory, "--max-points", "3"]
         assert scheduler.main(work + ["--worker-id", "w0"]) == 0
         assert scheduler.main(["merge", "--dir", directory]) == 2  # half the grid is missing
         assert "not yet evaluated" in capsys.readouterr().out
@@ -997,7 +1042,7 @@ class TestCommandLine:
         assert len(load_job(directory).points) == 6
         assert not (tmp_path / "driver" / "leases").exists()  # saved, not run
 
-        assert scheduler.main(["work", "--dir", directory, "--max-workers", "1"]) == 0
+        assert scheduler.main(["work", "--dir", directory]) == 0
         merged_csv = tmp_path / "driver-merged.csv"
         assert scheduler.main(["merge", "--dir", directory, "--csv", str(merged_csv)]) == 0
         local_csv = tmp_path / "driver-local.csv"
@@ -1015,12 +1060,54 @@ class TestCommandLine:
         assert len(spec.points) == 7  # seven Figure 9a strategies
         assert job_status(directory)["pending"] == 7  # saved, not run
 
-        assert scheduler.main(["work", "--dir", directory, "--max-workers", "1"]) == 0
+        assert scheduler.main(["work", "--dir", directory]) == 0
         merged_csv = tmp_path / "cswap-merged.csv"
         assert scheduler.main(["merge", "--dir", directory, "--csv", str(merged_csv)]) == 0
         local_csv = tmp_path / "cswap-local.csv"
         assert cswap_study.main(base + ["--csv", str(local_csv), "--max-workers", "1"]) == 0
         assert merged_csv.read_bytes() == local_csv.read_bytes()
+
+    def test_work_has_no_max_workers_flag(self, tmp_path, capsys):
+        # A leased worker evaluates one point per lease; more cores mean
+        # more `work` processes, not a per-worker process count.
+        with pytest.raises(SystemExit) as exited:
+            scheduler.main(["work", "--dir", str(tmp_path), "--max-workers", "2"])
+        assert exited.value.code == 2
+        assert "--max-workers" in capsys.readouterr().err
+
+    def test_concurrent_work_processes_merge_like_a_serial_run(self, tmp_path, shared_cache):
+        # Several `scheduler work` processes on one host are the multi-core
+        # path for a job: they race for leases and still merge to the bytes
+        # of one in-process run.
+        points = mini_points()
+        unsharded_csv, unsharded_json = run_unsharded(points, tmp_path)
+        directory = tmp_path / "job"
+        make_job(directory, points)
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        command = [sys.executable, "-m", "repro.experiments.scheduler", "work", "--dir", str(directory)]
+        processes = [
+            subprocess.Popen(
+                command + ["--worker-id", f"p{k}", "--poll", "0.05"],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for k in range(2)
+        ]
+        try:
+            for process in processes:
+                _, stderr = process.communicate(timeout=120)
+                assert process.returncode == 0, stderr
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+        assert job_status(directory)["mergeable"]
+        merged = merge_job(directory)
+        assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
+        assert merged.json_path.read_bytes() == unsharded_json.read_bytes()
 
     def test_plan_refuses_a_different_grid_in_the_same_directory(self, tmp_path, capsys):
         directory = str(tmp_path / "job")
@@ -1043,7 +1130,7 @@ class TestCommandLine:
             return real_evaluate(point)
 
         monkeypatch.setattr(sweep_mod, "evaluate_point", failing_evaluate)
-        work = ["work", "--dir", str(directory), "--max-workers", "1", "--no-heartbeat"]
+        work = ["work", "--dir", str(directory), "--no-heartbeat"]
         assert scheduler.main(work) == 1
         status = job_status(directory)
         assert status["failed"] == 1 and status["done"] == len(points) - 1

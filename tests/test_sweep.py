@@ -1,7 +1,6 @@
 """Tests for the parallel sweep engine (repro.experiments.sweep)."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,13 +194,6 @@ class TestFailureAttribution:
 
 
 class TestPointKey:
-    def test_key_ignores_scheduling_only_fields(self):
-        # SweepRunner.schedule annotates `workers` with a machine-dependent
-        # count; the key must not change, or failure records written on a
-        # multi-core host would never match the plan's manifest keys.
-        point = _points()[0]
-        assert point_key(replace(point, workers=8)) == point_key(point)
-
     def test_key_is_stable_and_field_sensitive(self):
         point = _points()[0]
         assert point_key(point) == point_key(point)

@@ -5,9 +5,9 @@ plain ``SweepRunner(max_workers=1)`` run, once as two sequential
 ``LeasedWorker`` passes pulling from one job — checks that the merge is
 byte-identical to the plain run, and reports points/second for each, plus
 their ratio.  The scheduler's overhead budget is lease churn (claim, renew
-bookkeeping, done markers, per-point row checkpoints), so the ratio should
-stay near 1.0 on a quiet machine; the benchmark is report-only because both
-numbers are dominated by the evaluation itself.
+bookkeeping, one done marker per point carrying its row), so the ratio
+should stay near 1.0 on a quiet machine; the benchmark is report-only
+because both numbers are dominated by the evaluation itself.
 
 A second, fake-clock pass measures **reclaim latency** — the time between
 a lease's deadline passing and another worker moving it to the graveyard —
@@ -43,6 +43,9 @@ WORKLOADS = ("cnu",)
 SIZES = (5,)
 NUM_TRAJECTORIES = 2
 NUM_WORKERS = 2
+
+#: The row the lease-protocol passes (which evaluate nothing) publish.
+_LEASE_ONLY_ROW = {"workload": "lease-only"}
 
 
 def _grid():
@@ -80,7 +83,7 @@ def _reclaim_latencies(tmp_path, points):
         reaper = LeaseCoordinator(directory, worker_id="reaper", ttl=ttl, clock=clock)
         reclaimed = reaper.acquire()
         assert reclaimed is not None and reclaimed.index == lease.index
-        reaper.complete(reclaimed)
+        reaper.complete(reclaimed, _LEASE_ONLY_ROW)
     samples = []
     for path in sorted((directory / "reclaimed").glob("*.json")):
         record = json.loads(path.read_text())
@@ -127,7 +130,7 @@ def _fault_injection_counters(tmp_path, points):
                 crashes += 1
                 continue
             if reclaimed is not None:
-                reaper.complete(reclaimed)
+                reaper.complete(reclaimed, _LEASE_ONLY_ROW)
     return {
         "plan_seed": 2024,
         "injected": plan.stats.as_dict(),
@@ -171,7 +174,6 @@ def test_scheduler_throughput_vs_unsharded(once, benchmark, tmp_path, bench_arti
             LeasedWorker(
                 job_dir,
                 worker_id=f"w{worker}",
-                runner=SweepRunner(max_workers=1),
                 ttl=600,
                 heartbeat=False,
                 sleep=lambda seconds: None,

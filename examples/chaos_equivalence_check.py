@@ -35,10 +35,14 @@ LEASE_TTL_S = 2.0
 MAX_WORKERS = 12
 
 #: Where the plan may inject: cache artifacts and the lease protocol.
-#: Manifest/row-store *content* writes stay un-torn (their publish renames
-#: may still fail or crash): a torn-but-published row store would strand
-#: rows behind done markers, which is a merge deadlock by design — the
-#: write order (rows, manifest, marker) makes crashes safe, not tears.
+#: Done-marker *content* writes stay un-torn (their publish renames may
+#: still fail or crash; an unpublished point's lease expires and it is
+#: re-drained).  A torn marker is found only when the merge reads it, and
+#: this loop merges once, after the status reads mergeable, so a tear would
+#: end the gate at the quarantine instead of exercising the re-drain.  That
+#: recovery (quarantine with a reason, re-drain, byte-identical merge) is
+#: tests/test_scheduler.py::TestLeasedWorker::
+#: test_torn_and_foreign_done_markers_are_quarantined_then_re_drained.
 FAULT_TARGETS = (
     ("write", "*.pkl"),
     ("read", "*.pkl"),
@@ -96,7 +100,6 @@ def main() -> int:
             worker = LeasedWorker(
                 job_dir,
                 worker_id=f"chaos-{round_index}",
-                runner=SweepRunner(max_workers=1),
                 ttl=LEASE_TTL_S,
                 poll=0.1,
                 heartbeat=False,

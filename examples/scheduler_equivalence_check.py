@@ -76,7 +76,6 @@ def main() -> int:
         return LeasedWorker(
             job_dir,
             worker_id=worker_id,
-            runner=SweepRunner(max_workers=1),
             ttl=LEASE_TTL_S,
             poll=0.2,
             **kwargs,

@@ -108,7 +108,7 @@ _SHARD_INVARIANT = (
 _LEASE_INVARIANT = (
     "lease and job serialization is the durable state of the work-stealing "
     "coordinator; changing it without bumping SHARD_SCHEMA_VERSION lets "
-    "live fleets misread each other's leases, manifests and job specs"
+    "live fleets misread each other's leases, done markers and job specs"
 )
 
 
@@ -202,7 +202,9 @@ REGIONS: tuple[Region, ...] = (
     # Lease/job serialization (experiments/scheduler.py): work-stealing state.
     _lease("Lease"),
     _lease("JobSpec"),
-    _lease("WorkerManifest"),
+    _lease("LeaseCoordinator.complete"),
+    _lease("_marker_mismatch"),
+    _lease("landed_rows"),
 )
 
 

@@ -1,7 +1,7 @@
 """Unified durable-I/O layer: atomic writes, guarded reads, retry, quarantine.
 
 Before this module, the durable subsystems (the compile cache, the lease
-coordinator with its manifests/rows and artifact-graph persistence) each
+coordinator with its leases/markers and artifact-graph persistence) each
 hand-rolled a tmp-write/rename or tmp-write/link protocol.  They now share
 one implementation with three properties none of the copies had:
 
@@ -268,10 +268,10 @@ def atomic_write_json(
 ) -> Path:
     """Publish JSON with tmp + ``os.replace`` so a kill never tears a file.
 
-    Shared by the sweep failure artifacts, the scheduler's markers,
-    manifests and row stores, and the artifact providers: durable progress
-    records are written exactly when crashes are likely, so they must never
-    be half-written.  The bytes are ``json.dumps(payload, indent=2,
+    Shared by the sweep failure artifacts, the scheduler's markers (a
+    done marker carries its point's row) and the artifact providers:
+    durable progress records are written exactly when crashes are likely,
+    so they must never be half-written.  The bytes are ``json.dumps(payload, indent=2,
     default=str)`` — the historical format every byte-identity gate is
     pinned to.
     """

@@ -25,12 +25,12 @@ mount provides:
   whose deadline passed — which is how points held by dead or straggling
   workers get re-leased without an operator.
 * :class:`LeasedWorker` is the pull loop: acquire a lease, evaluate the
-  point through :meth:`SweepRunner.iter_evaluate` (the same single-point
-  engine as the in-process runner), checkpoint the row and a per-worker
-  manifest, mark the point done, repeat until the job drains.  A failed
-  point is recorded under ``failed/`` and not re-leased until
+  point with the function :meth:`SweepRunner.iter_evaluate` maps (the same
+  single-point engine as the in-process runner), publish a done marker
+  carrying the point's row, repeat until the job drains.  A failed point
+  is recorded under ``failed/`` and not re-leased until
   :func:`retry_failed` moves its marker aside.
-* :func:`merge_job` reassembles the per-worker row stores into combined
+* :func:`merge_job` reassembles the done markers' rows into combined
   CSV/JSON artifacts **byte-identical to an in-process ``SweepRunner``
   run** — for any worker count, kill schedule or lease-TTL setting
   (enforced by ``examples/scheduler_equivalence_check.py`` in CI).
@@ -39,11 +39,12 @@ Races lose cleanly, never corrupt: a claim race loses the exclusive link,
 a reclaim race loses the graveyard rename, and the loser simply pulls the
 next point.  A torn or unreadable lease file is quarantined with a reason
 record (never honoured, never silently deleted) and its point becomes
-claimable again.  The one benign anomaly is double execution — a reclaimed-but-alive
-worker and the reclaimer may both evaluate a point — and every record it
-can write (rows, done markers) is deterministic and attribution-free, so
-double writes are byte-identical, mirroring the compile cache's documented
-duplicate-compile-on-cold-race stance.
+claimable again; so is a torn or foreign done marker, when the merge reads
+it.  The one benign anomaly is double execution — a reclaimed-but-alive
+worker and the reclaimer may both evaluate a point — and the one record it
+can write (the done marker, row included) is deterministic and
+attribution-free, so double writes are byte-identical, mirroring the
+compile cache's documented duplicate-compile-on-cold-race stance.
 
 Command line::
 
@@ -68,7 +69,7 @@ import os
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -80,6 +81,7 @@ from repro.experiments.sweep import (
     SweepPoint,
     SweepRunner,
     _compiled,
+    _evaluate_point_guarded,
     atomic_write_json,
     point_key,
     sweep_rows,
@@ -98,7 +100,6 @@ __all__ = [
     "LeasedWorker",
     "MergeResult",
     "SchedulerError",
-    "WorkerManifest",
     "WorkerReport",
     "add_driver_arguments",
     "estimate_point_cost",
@@ -119,11 +120,13 @@ __all__ = [
 #: Supported lease-acquisition policies.
 JOB_POLICIES = ("fifo", "cost-weighted")
 
-#: Bump when point identity or the job/lease/manifest/marker layout
-#: changes; old state then errors loudly instead of being honoured.
+#: Bump when point identity or the job/lease/marker layout changes; old
+#: state then errors loudly instead of being honoured.
 #: v2: points carry ``target_stderr`` (the adaptive sampling opt-in).
 #: v3: points no longer carry ``workers`` (trajectory-level fan-out is gone).
-SHARD_SCHEMA_VERSION = 3
+#: v4: the done marker carries the point's row; per-worker manifests and
+#: row stores are gone.
+SHARD_SCHEMA_VERSION = 4
 
 #: Planning-time trajectory stand-in for adaptive points: their true count
 #: is data-dependent (early stopping), so cost-weighted acquisition uses a
@@ -262,7 +265,7 @@ class JobSpec:
 
     @property
     def fingerprint(self) -> str:
-        """Content hash binding leases, manifests and markers to this job."""
+        """Content hash binding leases and markers to this job."""
         return fingerprint(
             [
                 "lease-job",
@@ -334,7 +337,7 @@ def save_job(spec: JobSpec, directory: str | Path) -> Path:
 
     Saving the job a directory already holds is a no-op; saving a
     *different* grid there raises :class:`SchedulerError` instead of
-    letting its done markers and rows mix with the stored job's.
+    letting its done markers mix with the stored job's.
     """
     path = _job_path(Path(directory))
     if path.exists():
@@ -424,11 +427,11 @@ class LeaseCoordinator:
         job.json                     the JobSpec
         leases/00042.lease           live claims (atomically created)
         reclaimed/00042.<by>.<n>.json  graveyard of expired claims
-        done/00042.json              completion markers {index, point_key}
+        done/00042.json              done markers {schema, index, point_key, row}:
+                                     the point's row, its only durable record
         failed/00042.json            failure markers (PointFailure records)
         retried/00042.<n>.json       failure markers moved aside by retry_failed
-        workers/<id>/manifest.json   per-worker progress manifests
-        workers/<id>/rows.json       per-worker row stores
+        quarantine/                  unreadable leases and markers, with reasons
 
     Claiming writes the lease to a unique private file and links it to the
     canonical name (:func:`repro.core.storage.durable_link`) — creation is
@@ -590,17 +593,22 @@ class LeaseCoordinator:
         atomic_write_json(self._lease_path(lease.index), renewed.to_json())
         return renewed
 
-    def complete(self, lease: Lease) -> Path:
-        """Mark a point done and release its lease.
+    def complete(self, lease: Lease, row: dict) -> Path:
+        """Publish a point's done marker, carrying its row, and release the lease.
 
-        The marker carries no worker attribution — a double execution after
-        a reclaim race writes byte-identical markers, so the anomaly stays
-        invisible to every downstream consumer.
+        The marker is the point's only durable record and lands in one
+        atomic write, so it exists only with its complete row: a kill
+        before the publish leaves the lease to expire, one after it leaves
+        a lingering lease :func:`job_status` ignores.  It carries no worker
+        attribution — a double execution after a reclaim race writes
+        byte-identical markers, so the anomaly stays invisible to every
+        downstream consumer.
         """
         marker = {
             "schema": SHARD_SCHEMA_VERSION,
             "index": lease.index,
             "point_key": lease.point_key,
+            "row": row,
         }
         path = atomic_write_json(self._done_path(lease.index), marker)
         self._release(lease)
@@ -677,33 +685,58 @@ def job_status(directory: str | Path, clock: Callable[[], float] | None = None) 
     }
 
 
-def landed_rows(directory: str | Path) -> dict[int, dict]:
-    """Rows that have landed so far, keyed by global index, manifest-vouched.
+def _marker_mismatch(marker: object, index: int, spec: JobSpec) -> str | None:
+    """Why a parsed done marker cannot stand for point ``index``, or ``None``."""
+    if not isinstance(marker, dict):
+        return "is not a JSON object"
+    if marker.get("schema") != SHARD_SCHEMA_VERSION:
+        return f"has schema {marker.get('schema')!r}, not {SHARD_SCHEMA_VERSION}"
+    if marker.get("index") != index:
+        return f"names point {marker.get('index')!r}"
+    if index >= len(spec.points) or marker.get("point_key") != point_key(spec.points[index]):
+        return "belongs to another job"
+    if not isinstance(marker.get("row"), dict):
+        return "holds no row"
+    return None
 
-    Only rows a worker manifest vouches for count (a kill between the row
-    and manifest checkpoints re-evaluates the point deterministically once
-    its lease expires).  Duplicate rows from a benign double execution
-    are byte-identical, so last-writer-wins is safe.
+
+def landed_rows(directory: str | Path) -> dict[int, dict]:
+    """Rows of the points finished so far, read from their done markers.
+
+    A marker is published in one atomic write with its row, so an existing
+    marker is the whole record.  One that is unreadable, holds no row, or
+    does not match the job's point at its index (another job's or another
+    schema's) is quarantined with a reason record — never honoured, never
+    silently deleted — which makes its point leasable again; then
+    :class:`SchedulerError` names every such marker.  Markers of a benign
+    double execution are byte-identical, so whichever write landed last is
+    the row.
     """
     directory = Path(directory)
     spec = load_job(directory)
     rows_by_index: dict[int, dict] = {}
-    workers_dir = directory / "workers"
-    if not workers_dir.is_dir():
-        return rows_by_index
-    for worker_dir in sorted(path for path in workers_dir.iterdir() if path.is_dir()):
-        manifest = WorkerManifest.load(worker_dir)
-        if manifest is None:
+    rejected: list[str] = []
+    for index in _marker_indices(directory, "done"):
+        path = directory / "done" / f"{index:05d}.json"
+        error: BaseException | None = None
+        try:
+            marker = storage.read_json(path)
+        except FileNotFoundError:
+            continue  # quarantined by a concurrent reader
+        except (OSError, ValueError) as caught:  # ValueError: torn JSON or UTF-8
+            marker, error = None, caught
+        problem = "is unreadable" if error is not None else _marker_mismatch(marker, index, spec)
+        if problem is None:
+            rows_by_index[index] = marker["row"]
             continue
-        if manifest.job_fingerprint != spec.fingerprint:
-            raise SchedulerError(
-                f"worker manifest in {worker_dir} belongs to a different job "
-                f"({manifest.job_fingerprint[:12]} != {spec.fingerprint[:12]})"
-            )
-        rows = _load_worker_rows(worker_dir)
-        for index, row in rows.items():
-            if index in manifest.completed:
-                rows_by_index[int(index)] = row
+        reason = f"done marker {path.name} {problem}"
+        storage.quarantine(path, directory, reason, error=error)
+        rejected.append(reason)
+    if rejected:
+        raise SchedulerError(
+            f"quarantined {len(rejected)} done marker(s) ({'; '.join(rejected)}); "
+            "drain the job again before merging"
+        )
     return rows_by_index
 
 
@@ -721,14 +754,15 @@ def merge_job(
     csv_path: str | Path | None = None,
     json_path: str | Path | None = None,
 ) -> MergeResult:
-    """Reassemble per-worker artifacts into the local sweep's output.
+    """Reassemble the done markers' rows into the local sweep's output.
 
     Rows are ordered by global grid index and written through the same
     ``write_csv`` / ``write_json`` helpers the in-process ``SweepRunner``
     uses, so a fully completed job merges byte-identical to a
     single-machine run of the same grid — whatever the worker count, kill
-    schedule or lease TTL was.  Failed or missing points raise
-    :class:`SchedulerError` naming them.
+    schedule or lease TTL was.  Failed or missing points, and done markers
+    :func:`landed_rows` quarantines, raise :class:`SchedulerError` naming
+    them.
     """
     directory = Path(directory)
     spec = load_job(directory)
@@ -793,77 +827,13 @@ def retry_failed(directory: str | Path) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WorkerManifest:
-    """Per-worker progress record, checkpointed after every point.
-
-    ``completed`` maps the *global* point index (as a string: JSON keys) to
-    the point's :func:`~repro.experiments.sweep.point_key`; ``failures``
-    keeps the attributed :class:`~repro.experiments.sweep.PointFailure`
-    records.  Bound to the job through ``job_fingerprint`` so resuming a
-    worker directory against a different grid errors instead of mixing
-    artifacts.
-    """
-
-    worker_id: str
-    job_fingerprint: str
-    completed: dict[str, str] = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SHARD_SCHEMA_VERSION,
-            "worker_id": self.worker_id,
-            "job_fingerprint": self.job_fingerprint,
-            "completed": self.completed,
-            "failures": self.failures,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WorkerManifest":
-        if data.get("schema") != SHARD_SCHEMA_VERSION:
-            raise SchedulerError(
-                f"worker manifest schema {data.get('schema')!r} does not match "
-                f"this code's schema {SHARD_SCHEMA_VERSION}"
-            )
-        return cls(
-            worker_id=data["worker_id"],
-            job_fingerprint=data["job_fingerprint"],
-            completed=dict(data.get("completed", {})),
-            failures=list(data.get("failures", [])),
-        )
-
-    @classmethod
-    def load(cls, worker_dir: Path) -> "WorkerManifest | None":
-        path = Path(worker_dir) / "manifest.json"
-        if not path.exists():
-            return None
-        try:
-            return cls.from_json(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError, KeyError) as error:
-            raise SchedulerError(f"unreadable worker manifest at {path}: {error}") from error
-
-    def save(self, worker_dir: Path) -> None:
-        atomic_write_json(Path(worker_dir) / "manifest.json", self.to_json())
-
-
-def _load_worker_rows(worker_dir: Path) -> dict[str, dict]:
-    path = Path(worker_dir) / "rows.json"
-    if not path.exists():
-        return {}
-    try:
-        return dict(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError) as error:
-        raise SchedulerError(f"unreadable worker row store at {path}: {error}") from error
-
-
 class _Heartbeat:
     """Daemon thread renewing one lease every ``interval`` real seconds.
 
     Used as a context manager around a point's evaluation; ``lost`` flips
     when a renewal discovers the lease was reclaimed (the evaluation still
-    finishes — its records are byte-identical to the reclaimer's, so
-    finishing is harmless and keeps the row store warm for the merge).
+    finishes — its done marker is byte-identical to the reclaimer's, so
+    finishing is harmless).
     """
 
     def __init__(self, coordinator: LeaseCoordinator, lease: Lease, interval: float):
@@ -910,13 +880,13 @@ class WorkerReport:
 
 
 class LeasedWorker:
-    """Pull-based worker: lease, evaluate, checkpoint, repeat until drained.
+    """Pull-based worker: lease, evaluate, publish, repeat until drained.
 
-    Point execution goes through :meth:`SweepRunner.iter_evaluate` — the
-    single point-execution engine shared with the in-process runner — and
-    every finished point checkpoints the row store and then the per-worker
-    manifest, so a killed worker loses at most the point it was on, and
-    that point's lease expires into someone else's hands.
+    Each leased point is evaluated by the function
+    :meth:`SweepRunner.iter_evaluate` maps for the in-process runner (one
+    point per lease, so there is no pool to size), and its row lands in the
+    point's done marker, so a killed worker loses at most the point it was
+    on, and that point's lease expires into someone else's hands.
 
     ``heartbeat=True`` renews the held lease from a daemon thread every
     ``ttl / 4`` real seconds, so a slow-but-alive worker is never
@@ -930,7 +900,6 @@ class LeasedWorker:
         self,
         directory: str | Path,
         worker_id: str | None = None,
-        runner: SweepRunner | None = None,
         ttl: float | None = None,
         clock: Callable[[], float] | None = None,
         heartbeat: bool = True,
@@ -943,28 +912,10 @@ class LeasedWorker:
         if not 0 <= self.poll < math.inf:
             raise SchedulerError(f"idle poll must be finite and non-negative, got {self.poll!r}")
         self.coordinator = LeaseCoordinator(directory, worker_id=worker_id, ttl=ttl, clock=clock)
-        self.directory = Path(directory)
-        self.runner = runner if runner is not None else SweepRunner(max_workers=1)
         self.heartbeat = heartbeat
         self.max_points = max_points
         self.abandon_after = abandon_after
         self._sleep = sleep
-        self.worker_dir = self.directory / "workers" / self.coordinator.worker_id
-        self.worker_dir.mkdir(parents=True, exist_ok=True)
-        manifest = WorkerManifest.load(self.worker_dir)
-        if manifest is None:
-            manifest = WorkerManifest(
-                worker_id=self.coordinator.worker_id,
-                job_fingerprint=self.coordinator.spec.fingerprint,
-            )
-        elif manifest.job_fingerprint != self.coordinator.spec.fingerprint:
-            raise SchedulerError(
-                f"worker directory {self.worker_dir} belongs to a different job; "
-                "use a fresh worker id or directory"
-            )
-        self.manifest = manifest
-        rows = _load_worker_rows(self.worker_dir)
-        self.rows = {index: row for index, row in rows.items() if index in manifest.completed}
 
     def _drained(self) -> bool:
         directory = self.coordinator.directory
@@ -1005,30 +956,19 @@ class LeasedWorker:
         )
 
     def _evaluate(self, lease: Lease) -> bool:
-        """Evaluate one leased point and checkpoint its outcome."""
+        """Evaluate one leased point and publish its done or failure marker."""
         point = self.coordinator.spec.points[lease.index]
         if self.heartbeat:
             interval = max(self.coordinator.ttl / 4.0, 0.05)
             with _Heartbeat(self.coordinator, lease, interval):
-                outcome = self._outcome(point)
+                outcome = _evaluate_point_guarded(point)
         else:
-            outcome = self._outcome(point)
+            outcome = _evaluate_point_guarded(point)
         if isinstance(outcome, PointFailure):
-            self.manifest.failures.append({"index": lease.index, **outcome.as_record()})
-            self.manifest.save(self.worker_dir)
             self.coordinator.fail(lease, outcome.as_record())
             return False
-        self.rows[str(lease.index)] = sweep_rows([point], [outcome])[0]
-        atomic_write_json(self.worker_dir / "rows.json", self.rows)
-        self.manifest.completed[str(lease.index)] = lease.point_key
-        self.manifest.save(self.worker_dir)
-        self.coordinator.complete(lease)
+        self.coordinator.complete(lease, sweep_rows([point], [outcome])[0])
         return True
-
-    def _outcome(self, point: SweepPoint):
-        for _index, outcome in self.runner.iter_evaluate([point]):
-            return outcome
-        raise SchedulerError("iter_evaluate yielded nothing for one point")
 
 
 # ---------------------------------------------------------------------------
@@ -1142,7 +1082,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     retry_parser = commands.add_parser("retry", help="make failed points leasable again")
     retry_parser.add_argument("--dir", dest="job_dir", required=True)
 
-    merge_parser = commands.add_parser("merge", help="reassemble worker artifacts")
+    merge_parser = commands.add_parser("merge", help="reassemble the done markers into CSV/JSON")
     merge_parser.add_argument("--dir", dest="job_dir", required=True)
     merge_parser.add_argument("--csv", default=None)
     merge_parser.add_argument("--json", dest="json_out", default=None)

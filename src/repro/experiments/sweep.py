@@ -233,8 +233,8 @@ def point_key(point: SweepPoint) -> str:
     points durably.
 
     ``target_stderr`` enters the key only when set: default (fixed-count)
-    points keep exactly their pre-adaptive keys, so existing plans,
-    manifests and failure artifacts stay valid.
+    points keep exactly their pre-adaptive keys, so existing plans and
+    failure artifacts stay valid.
     """
     kwargs = ";".join(f"{name}={value!r}" for name, value in point.workload_kwargs)
     fields = [
@@ -273,7 +273,7 @@ class PointFailure:
     pass_name: str | None = None
 
     def as_record(self) -> dict:
-        """Flat JSON-ready record for failure artifacts and manifests."""
+        """Flat JSON-ready record for failure artifacts and failure markers."""
         return {
             "point_key": self.point_key,
             "workload": self.point.workload,
@@ -418,10 +418,10 @@ class SweepRunner:
     ) -> Iterator[tuple[int, StrategyEvaluation | PointFailure]]:
         """Yield ``(index, outcome)`` per point, in order, as results arrive.
 
-        This is the single point-execution engine shared by :meth:`run` and
-        the leased worker (:mod:`repro.experiments.scheduler`): the point
-        pool and per-point failure capture live here, so both paths behave
-        identically.  Outcomes are either a
+        This is the single point-execution engine: :meth:`run` goes through
+        it, and the leased worker (:mod:`repro.experiments.scheduler`) calls
+        the function it maps, one point per lease, so per-point failure
+        capture is the same on both paths.  Outcomes are either a
         :class:`~repro.experiments.runner.StrategyEvaluation` or a
         :class:`PointFailure` — exceptions never abort the remaining points.
         """

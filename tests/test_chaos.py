@@ -1,7 +1,7 @@
 """Crash-consistency property harness over the durable-storage layer.
 
 The property: for every injected crash/fault point during a durable
-operation (cache put, disk-only publish, manifest write, lease
+operation (cache put, disk-only publish, done-marker publish, lease
 claim/reclaim, point-result publish and read), a rerun after the crash
 converges to output **byte identical** to a fault-free run — with corrupt artifacts quarantined
 (reason-recorded), never honoured and never silently deleted.
@@ -27,7 +27,13 @@ from repro import faults
 from repro.artifacts.figures import compute_table
 from repro.core import storage
 from repro.core.compile_cache import CompileCache, get_cache
-from repro.experiments.scheduler import LeaseCoordinator, WorkerManifest, plan_job, save_job
+from repro.experiments.scheduler import (
+    LeaseCoordinator,
+    job_status,
+    landed_rows,
+    plan_job,
+    save_job,
+)
 from repro.experiments.sweep import SweepRunner
 from helpers import mini_points, result_key
 
@@ -204,33 +210,6 @@ class TestPointResultFaults:
         assert pickle.loads(get_cache().path_for(key).read_bytes()).fidelities
 
 
-class TestManifestWriteCrashConsistency:
-    def test_worker_manifest_crash_points_converge(self, tmp_path):
-        manifest = WorkerManifest(
-            worker_id="w0",
-            job_fingerprint="f" * 64,
-            completed={"0": "k" * 64},
-        )
-        reference_dir = tmp_path / "ref"
-        manifest.save(reference_dir)
-        reference = (reference_dir / "manifest.json").read_bytes()
-
-        chaos_dir = tmp_path / "chaos"
-        path = chaos_dir / "manifest.json"
-
-        def operation():
-            manifest.save(chaos_dir)
-
-        def recover():
-            if path.exists():
-                assert path.read_bytes() == reference
-            operation()
-            assert path.read_bytes() == reference
-            assert WorkerManifest.load(chaos_dir).completed == {"0": "k" * 64}
-
-        assert enumerate_crashes(operation, recover) >= 2
-
-
 class FakeClock:
     def __init__(self, start=1000.0):
         self.now = start
@@ -313,3 +292,43 @@ class TestLeaseCrashConsistency:
         reason = json.loads(quarantined.with_name("00000.lease.reason.json").read_text())
         assert "unreadable lease" in reason["reason"]
         assert storage.STATS.quarantined == 1
+
+
+class TestDoneMarkerCrashConsistency:
+    def test_complete_crash_points_converge_to_the_reference_marker(self, tmp_path):
+        row = {"workload": "cnu", "size": 5, "fidelity": 0.5}
+        clock = FakeClock()
+        reference_dir = tmp_path / "ref"
+        save_job(plan_job(mini_points(num_trajectories=2)[:1]), reference_dir)
+        reference_coordinator = LeaseCoordinator(reference_dir, worker_id="w0", ttl=10.0, clock=clock)
+        reference_coordinator.complete(reference_coordinator.acquire(), row)
+        reference = (reference_dir / "done" / "00000.json").read_bytes()
+
+        job_dir = tmp_path / "chaos"
+        save_job(plan_job(mini_points(num_trajectories=2)[:1]), job_dir)
+        marker = job_dir / "done" / "00000.json"
+        coordinator = LeaseCoordinator(job_dir, worker_id="w0", ttl=10.0, clock=clock)
+        held = [coordinator.acquire()]
+
+        def operation():
+            coordinator.complete(held[0], row)
+
+        def recover():
+            # The marker is the point's one record: a crash leaves it either
+            # absent (the point's lease is still held, to expire and be
+            # re-leased) or whole (a lingering lease the status ignores).
+            status = job_status(job_dir, clock=clock)
+            if marker.exists():
+                assert marker.read_bytes() == reference
+                assert status["mergeable"]
+            else:
+                assert status["leased"] == 1 and not status["mergeable"]
+            operation()
+            assert marker.read_bytes() == reference
+            assert landed_rows(job_dir) == {0: row}
+            assert not (job_dir / "leases" / "00000.lease").exists()
+            marker.unlink()  # the next round starts from a held, unpublished point
+            held[0] = coordinator.acquire()
+
+        fired = enumerate_crashes(operation, recover)
+        assert fired >= 3  # marker write, publish rename, lease release read

@@ -545,7 +545,6 @@ class TestSweepIntegration:
             return LeasedWorker(
                 directory,
                 worker_id=worker_id,
-                runner=SweepRunner(max_workers=1),
                 ttl=10.0,
                 clock=lambda: now[0],
                 heartbeat=False,

@@ -40,7 +40,6 @@ from repro.experiments.scheduler import (
     LeasedWorker,
     LeaseLost,
     SchedulerError,
-    WorkerManifest,
     estimate_point_cost,
     job_status,
     landed_rows,
@@ -59,10 +58,11 @@ from helpers import mini_points as _shared_mini_points
 REPO_ROOT = Path(__file__).parents[1]
 
 #: SHA-256 of the ``fifo`` job file of the ``fig7-mini`` grid at
-#: SHARD_SCHEMA_VERSION 3: a job directory planned by an earlier release must
+#: SHARD_SCHEMA_VERSION 4: a job directory planned by an earlier release must
 #: keep loading, draining and merging, so these bytes may not drift.  Re-pinned
-#: at the v3 bump, which dropped the points' ``"workers"`` field.
-FIG7_MINI_JOB_SHA256 = "79d8841711a911398bcaee5ae21a552c15cf79d31a964621788cde3c4ca28729"
+#: at the v4 bump, which moved each point's row into its done marker: the
+#: points are unchanged, only the schema number (and so the fingerprint) moved.
+FIG7_MINI_JOB_SHA256 = "991746cb2df399e3ed8e60c4dc1c4bcb2da663fc06a21f7ebef092a7b0e08aaa"
 
 
 def wait_for_lease_held_by(directory, worker_id, timeout=10.0):
@@ -132,6 +132,32 @@ def make_job(directory, points=None, policy="fifo", **plan_kwargs):
     return spec
 
 
+def count_evaluations(monkeypatch, delay=0.0):
+    """Patch ``evaluate_point`` to log each evaluated point's key (and optionally sleep)."""
+    real_evaluate = sweep_mod.evaluate_point
+    evaluated = []
+
+    def counting_evaluate(point):
+        evaluated.append(point_key(point))
+        time.sleep(delay)
+        return real_evaluate(point)
+
+    monkeypatch.setattr(sweep_mod, "evaluate_point", counting_evaluate)
+    return evaluated
+
+
+def done_markers(directory):
+    """The parsed done markers of a job directory, keyed by point index."""
+    return {
+        int(path.stem): json.loads(path.read_text())
+        for path in sorted((Path(directory) / "done").glob("*.json"))
+    }
+
+
+#: A stand-in row for lease-protocol tests that evaluate nothing.
+ROW = {"workload": "cnu", "fidelity": 0.5}
+
+
 def run_fresh_python(*args):
     """Run ``python *args`` in a fresh interpreter that sees only ``src``."""
     return subprocess.run(
@@ -144,7 +170,6 @@ def run_fresh_python(*args):
 
 
 def make_worker(directory, worker_id, clock, ttl=10.0, **kwargs):
-    kwargs.setdefault("runner", SweepRunner(max_workers=1))
     kwargs.setdefault("heartbeat", False)
     kwargs.setdefault("sleep", lambda seconds: None)
     return LeasedWorker(directory, worker_id=worker_id, ttl=ttl, clock=clock, **kwargs)
@@ -270,8 +295,8 @@ class TestJobSpec:
             range(len(points)), key=lambda index: (-spec.priorities[index], index)
         )
 
-    def test_job_file_bytes_are_stable_at_schema_3(self, tmp_path):
-        assert SHARD_SCHEMA_VERSION == 3
+    def test_job_file_bytes_are_stable_at_schema_4(self, tmp_path):
+        assert SHARD_SCHEMA_VERSION == 4
         path = save_job(plan_job(scheduler.named_grid_points("fig7-mini")), tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FIG7_MINI_JOB_SHA256
 
@@ -304,6 +329,46 @@ class TestJobSpec:
         assert scheduler.main(["work", "--dir", str(directory), "--no-heartbeat"]) == 2
         assert "job schema 2" in capsys.readouterr().out
         assert not (directory / "done").exists()
+
+    def test_schema_3_job_directory_is_refused_not_merged(self, tmp_path, capsys):
+        # A job drained before v4: done markers without rows, and the rows
+        # in per-worker row stores vouched for by per-worker manifests.  The
+        # whole directory must be refused, never merged from its markers.
+        spec = plan_job(mini_points())
+        payload = spec.to_json()
+        payload["schema"] = 3
+        payload["fingerprint"] = fingerprint(
+            [
+                "lease-job",
+                "schema:3",
+                f"policy:{spec.policy}",
+                *[point_key(point) for point in spec.points],
+                *[f"priority:{priority!r}" for priority in spec.priorities],
+            ]
+        )
+        directory = tmp_path / "job"
+        (directory / "done").mkdir(parents=True)
+        (directory / "job.json").write_text(json.dumps(payload, indent=2))
+        worker_dir = directory / "workers" / "w0"
+        worker_dir.mkdir(parents=True)
+        completed = {}
+        for index, point in enumerate(spec.points):
+            marker = {"schema": 3, "index": index, "point_key": point_key(point)}
+            (directory / "done" / f"{index:05d}.json").write_text(json.dumps(marker, indent=2))
+            completed[str(index)] = point_key(point)
+        (worker_dir / "rows.json").write_text(json.dumps({key: ROW for key in completed}))
+        manifest = {"schema": 3, "worker_id": "w0", "job_fingerprint": payload["fingerprint"]}
+        (worker_dir / "manifest.json").write_text(json.dumps({**manifest, "completed": completed}))
+        before = sorted(str(path) for path in directory.rglob("*"))
+
+        with pytest.raises(SchedulerError, match="job schema 3"):
+            merge_job(directory)
+        with pytest.raises(SchedulerError, match="job schema 3"):
+            job_status(directory)
+        assert scheduler.main(["merge", "--dir", str(directory)]) == 2
+        assert "job schema 3" in capsys.readouterr().out
+        assert scheduler.main(["work", "--dir", str(directory), "--no-heartbeat"]) == 2
+        assert sorted(str(path) for path in directory.rglob("*")) == before
 
     @pytest.mark.parametrize("grid", ["fig7", "fig7-mini", "fig9a", "fig9a-mini"])
     def test_named_grids_save_as_jobs(self, grid, tmp_path):
@@ -347,7 +412,7 @@ class TestLeaseProtocol:
         first = coordinator.acquire()
         assert first is not None
         assert first.index == coordinator.spec.acquisition_order()[0]
-        coordinator.complete(first)
+        coordinator.complete(first, ROW)
         second = coordinator.acquire()
         assert second is not None
         assert second.index == coordinator.spec.acquisition_order()[1]
@@ -474,7 +539,7 @@ class TestLeaseProtocol:
         successor = b.acquire()
         # a finishes its (reclaimed) evaluation: the done marker lands, but
         # b's live lease must survive a's release.
-        a.complete(lost)
+        a.complete(lost, ROW)
         current = b._read_lease(successor.index)
         assert current is not None and current.token == successor.token
 
@@ -487,10 +552,46 @@ class TestLeaseProtocol:
         lost = a.acquire()
         clock.advance(10.1)
         successor = b.acquire()
-        a.complete(lost)
+        a.complete(lost, ROW)
         first = (directory / "done" / "00000.json").read_bytes()
-        b.complete(successor)  # benign double execution: byte-identical marker
+        b.complete(successor, ROW)  # benign double execution: byte-identical marker
         assert (directory / "done" / "00000.json").read_bytes() == first
+        assert json.loads(first) == {
+            "schema": SHARD_SCHEMA_VERSION,
+            "index": 0,
+            "point_key": point_key(mini_points()[0]),
+            "row": ROW,
+        }
+
+    @pytest.mark.parametrize(
+        "index, edit, reason",
+        [
+            (0, lambda marker: [marker], "is not a JSON object"),
+            (0, lambda marker: {**marker, "schema": 3}, "has schema 3, not 4"),
+            (0, lambda marker: {**marker, "index": 1}, "names point 1"),
+            (0, lambda marker: {key: marker[key] for key in marker if key != "row"}, "holds no row"),
+            (1, lambda marker: {**marker, "index": 1}, "belongs to another job"),
+        ],
+        ids=["not-an-object", "old-schema", "wrong-index", "no-row", "past-the-grid"],
+    )
+    def test_landed_rows_quarantines_a_marker_it_cannot_honour(self, index, edit, reason, tmp_path):
+        directory = tmp_path / "job"
+        make_job(directory, mini_points()[:1])
+        coordinator = LeaseCoordinator(directory, worker_id="a", ttl=10, clock=FakeClock())
+        coordinator.complete(coordinator.acquire(), ROW)
+        assert landed_rows(directory) == {0: ROW}
+        good = directory / "done" / "00000.json"
+        path = directory / "done" / f"{index:05d}.json"
+        bad = json.dumps(edit(json.loads(good.read_text())))
+        good.unlink()
+        path.write_text(bad)
+        with pytest.raises(SchedulerError, match=f"{path.name} {reason}"):
+            landed_rows(directory)
+        assert not path.exists()
+        assert (directory / "quarantine" / path.name).read_text() == bad
+        record = json.loads((directory / "quarantine" / f"{path.name}.reason.json").read_text())
+        assert reason in record["reason"]
+        assert landed_rows(directory) == {}
 
     @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -1.0])
     def test_ttl_must_be_finite_and_positive(self, ttl, tmp_path):
@@ -517,7 +618,9 @@ class TestLeaseProtocol:
 
 class TestLeasedWorker:
     @pytest.mark.parametrize("num_workers", [1, 3, 7])
-    def test_kill_schedule_merges_byte_identical_to_unsharded(self, num_workers, tmp_path, shared_cache):
+    def test_kill_schedule_merges_byte_identical_to_unsharded(
+        self, num_workers, tmp_path, shared_cache, monkeypatch
+    ):
         points = mini_points()
         unsharded_csv = tmp_path / "unsharded.csv"
         unsharded_json = tmp_path / "unsharded.json"
@@ -532,17 +635,22 @@ class TestLeasedWorker:
         assert report.abandoned and report.num_completed == 1
         assert job_status(directory, clock=clock)["leased"] == 1
 
-        # The abandoned lease expires; a restarted w0 (resuming its own
-        # manifest) and its peers drain the rest one point per turn, each
-        # starting like a fresh host process with only the disk cache.
+        # The abandoned lease expires; a restarted w0 and its peers drain the
+        # rest one point per turn, each starting like a fresh host process
+        # with only the disk cache.  The killed worker's landed point is
+        # never evaluated again; its abandoned one is, exactly once.
         clock.advance(10.1)
         reset_cache()
+        evaluated = count_evaluations(monkeypatch)
         workers = [make_worker(directory, f"w{k}", clock, max_points=1) for k in range(num_workers)]
         for _ in range(len(points)):
             for worker in workers:
                 worker.run()
-        completed = sum(len(worker.manifest.completed) for worker in workers)
-        assert completed == len(points)
+        assert sorted(evaluated) == sorted(point_key(point) for point in points[1:])
+        markers = done_markers(directory)
+        assert [marker["point_key"] for marker in markers.values()] == [
+            point_key(point) for point in points
+        ]
 
         status = job_status(directory, clock=clock)
         assert status["mergeable"] and status["reclaimed"] == 1
@@ -584,13 +692,9 @@ class TestLeasedWorker:
         with pytest.raises(SchedulerError, match="failed"):
             merge_job(directory)
 
-    def test_failure_key_matches_job_key_under_a_point_pool(
-        self, tmp_path, shared_cache, monkeypatch
-    ):
-        # A worker whose runner owns a two-process point pool still
-        # evaluates one leased point at a time.  The failure marker must
-        # carry the *job's* point key, and once retried the point drains
-        # under the same runner.
+    def test_failure_key_matches_job_key(self, tmp_path, shared_cache, monkeypatch):
+        # The failure marker must carry the *job's* point key, and once
+        # retried the point drains to a done marker under that key.
         points = [
             SweepPoint(workload="cnu", size=5, strategy="QUBIT_ONLY", num_trajectories=2, seed=1)
         ]
@@ -602,31 +706,17 @@ class TestLeasedWorker:
             raise CompilationError("injected failure", gate="X(0)", pass_name="emit")
 
         monkeypatch.setattr(sweep_mod, "evaluate_point", failing_evaluate)
-        runner = SweepRunner(max_workers=2)
         clock = FakeClock()
-        assert make_worker(directory, "w0", clock, runner=runner).run().num_failed == 1
+        assert make_worker(directory, "w0", clock).run().num_failed == 1
         record = json.loads((directory / "failed" / "00000.json").read_text())
         assert record["point_key"] == point_key(points[0])
 
         monkeypatch.setattr(sweep_mod, "evaluate_point", real_evaluate)
         assert retry_failed(directory) == [0]
-        report = make_worker(directory, "w0", clock, runner=runner).run()
+        report = make_worker(directory, "w0", clock).run()
         assert report.num_completed == 1
         assert job_status(directory, clock=clock)["mergeable"]
-
-    def test_worker_directory_is_bound_to_its_job(self, tmp_path, shared_cache):
-        points = mini_points()
-        first = tmp_path / "first"
-        make_job(first, points)
-        clock = FakeClock()
-        make_worker(first, "w0", clock, max_points=1).run()
-        # Re-pointing the same worker directory at a different job must fail.
-        second = tmp_path / "second"
-        make_job(second, points[:3])
-        (second / "workers").mkdir(parents=True, exist_ok=True)
-        (first / "workers" / "w0").rename(second / "workers" / "w0")
-        with pytest.raises(SchedulerError, match="different job"):
-            make_worker(second, "w0", clock)
+        assert done_markers(directory)[0]["point_key"] == point_key(points[0])
 
     @pytest.mark.parametrize("poll", [-1.0, float("nan"), float("inf")])
     def test_poll_must_be_finite_and_non_negative(self, poll, tmp_path):
@@ -634,7 +724,7 @@ class TestLeasedWorker:
         make_job(directory, mini_points()[:1])
         with pytest.raises(SchedulerError, match="idle poll"):
             make_worker(directory, "w0", FakeClock(), poll=poll)
-        assert not (directory / "workers").exists()
+        assert [path.name for path in directory.iterdir()] == ["job.json"]
 
     def test_zero_poll_is_a_valid_busy_poll(self, tmp_path):
         directory = tmp_path / "job"
@@ -659,28 +749,65 @@ class TestLeasedWorker:
         assert report.num_completed == 2 and not report.abandoned
         assert job_status(directory, clock=clock)["done"] == 2
 
-    def test_landed_rows_rejects_foreign_worker_manifests(self, tmp_path, shared_cache):
+    def test_torn_and_foreign_done_markers_are_quarantined_then_re_drained(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
+        points = mini_points()
+        unsharded_csv, unsharded_json = run_unsharded(points, tmp_path)
         directory = tmp_path / "job"
-        make_job(directory, mini_points())
-        worker_dir = directory / "workers" / "ghost"
-        worker_dir.mkdir(parents=True)
-        WorkerManifest(worker_id="ghost", job_fingerprint="not-this-job").save(worker_dir)
-        with pytest.raises(SchedulerError, match="different job"):
-            landed_rows(directory)
+        make_job(directory, points)
+        clock = FakeClock()
+        make_worker(directory, "w0", clock).run()
+        done = directory / "done"
+        # Point 1's marker names another job's point (same shape, other
+        # seed); point 4's was torn mid-publish.
+        foreign = json.loads((done / "00001.json").read_text())
+        foreign["point_key"] = point_key(replace(points[1], seed=points[1].seed + 1))
+        (done / "00001.json").write_text(json.dumps(foreign, indent=2))
+        torn = (done / "00004.json").read_bytes()[:40]
+        (done / "00004.json").write_bytes(torn)
+        assert job_status(directory, clock=clock)["mergeable"]  # status does not parse markers
 
-    def test_cost_weighted_job_merges_byte_identical_to_unsharded(self, tmp_path, shared_cache):
+        with pytest.raises(SchedulerError, match=r"00001\.json belongs to another job.*00004\.json is unreadable"):
+            merge_job(directory)
+        assert not (directory / "merged.csv").exists()
+        quarantine = directory / "quarantine"
+        assert (quarantine / "00004.json").read_bytes() == torn  # kept, never deleted
+        for name, reason in (("00001.json", "another job"), ("00004.json", "unreadable")):
+            assert not (done / name).exists()
+            record = json.loads((quarantine / f"{name}.reason.json").read_text())
+            assert reason in record["reason"]
+        status = job_status(directory, clock=clock)
+        assert status["pending"] == 2 and not status["mergeable"]
+
+        # A further worker re-drains exactly those two points, and the merge
+        # is the unsharded run's bytes.
+        evaluated = count_evaluations(monkeypatch)
+        assert make_worker(directory, "w1", clock).run().num_completed == 2
+        assert sorted(evaluated) == sorted(point_key(points[index]) for index in (1, 4))
+        merged = merge_job(directory)
+        assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
+        assert merged.json_path.read_bytes() == unsharded_json.read_bytes()
+
+    def test_cost_weighted_job_merges_byte_identical_to_unsharded(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
         points = mini_points()
         unsharded_csv, unsharded_json = run_unsharded(points, tmp_path)
         directory = tmp_path / "job"
         spec = make_job(directory, points, policy="cost-weighted")
         clock = FakeClock()
+        evaluated = count_evaluations(monkeypatch)
         workers = [make_worker(directory, f"w{k}", clock, max_points=1) for k in range(3)]
         for _ in range(len(points)):
             for worker in workers:
                 worker.run()
-        # The first round of leases went to the three most expensive points.
-        firsts = [int(next(iter(worker.manifest.completed))) for worker in workers]
+        # The first round of leases (one point per worker) went to the three
+        # most expensive points.
+        index_of = {point_key(point): index for index, point in enumerate(points)}
+        firsts = [index_of[key] for key in evaluated[:3]]
         assert [spec.priorities[index] for index in firsts] == sorted(spec.priorities)[::-1][:3]
+        assert sorted(evaluated) == sorted(index_of)
         merged = merge_job(directory)
         assert merged.num_rows == len(points)
         assert merged.csv_path.read_bytes() == unsharded_csv.read_bytes()
@@ -695,22 +822,18 @@ class TestLeasedWorker:
         clock = FakeClock()
         report = make_worker(directory, "w0", clock, abandon_after=2).run()
         assert report.abandoned and report.num_completed == 2
-        manifest = WorkerManifest.load(directory / "workers" / "w0")
-        assert set(manifest.completed.values()) == {point_key(points[0]), point_key(points[1])}
+        markers = done_markers(directory)
+        assert {index: marker["point_key"] for index, marker in markers.items()} == {
+            0: point_key(points[0]),
+            1: point_key(points[1]),
+        }
 
         # Restart w0 as a fresh process would: a cold in-memory cache front
         # (any recompilation must go through the disk layer and its log) and
         # the abandoned lease past its deadline.
         clock.advance(10.1)
         reset_cache()
-        real_evaluate = sweep_mod.evaluate_point
-        evaluated = []
-
-        def counting_evaluate(point):
-            evaluated.append(point_key(point))
-            return real_evaluate(point)
-
-        monkeypatch.setattr(sweep_mod, "evaluate_point", counting_evaluate)
+        evaluated = count_evaluations(monkeypatch)
         report = make_worker(directory, "w0", clock).run()
         assert report.num_completed == len(points) - 2
         assert sorted(evaluated) == sorted(point_key(point) for point in points[2:])
@@ -783,23 +906,14 @@ class TestLeasedWorker:
         ]
         assert not (directory / "failed" / "00001.json").exists()
 
-    def test_heartbeat_keeps_slow_worker_alive_under_a_real_clock(self, tmp_path, shared_cache):
+    def test_heartbeat_keeps_slow_worker_alive_under_a_real_clock(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
         points = mini_points(num_trajectories=0)[:1]  # compile-only: fast
         directory = tmp_path / "job"
         make_job(directory, points)
-
-        class SlowRunner(SweepRunner):
-            def iter_evaluate(self, batch):
-                time.sleep(0.8)  # several TTLs long
-                yield from super().iter_evaluate(batch)
-
-        worker = LeasedWorker(
-            directory,
-            worker_id="slow",
-            runner=SlowRunner(max_workers=1),
-            ttl=0.3,
-            heartbeat=True,
-        )
+        count_evaluations(monkeypatch, delay=0.8)  # several TTLs long
+        worker = LeasedWorker(directory, worker_id="slow", ttl=0.3, heartbeat=True)
         thread = threading.Thread(target=worker.run)
         thread.start()
         wait_for_lease_held_by(directory, "slow")
@@ -813,23 +927,15 @@ class TestLeasedWorker:
         assert stolen == 0, "heartbeat renewal failed to keep the slow worker's lease alive"
         assert job_status(directory)["done"] == 1
 
-    def test_without_heartbeat_the_same_slow_worker_is_reclaimed(self, tmp_path, shared_cache):
+    def test_without_heartbeat_the_same_slow_worker_is_reclaimed(
+        self, tmp_path, shared_cache, monkeypatch
+    ):
         points = mini_points(num_trajectories=0)[:1]
         directory = tmp_path / "job"
         make_job(directory, points)
-
-        class SlowRunner(SweepRunner):
-            def iter_evaluate(self, batch):
-                time.sleep(0.8)
-                yield from super().iter_evaluate(batch)
-
-        worker = LeasedWorker(
-            directory,
-            worker_id="slow",
-            runner=SlowRunner(max_workers=1),
-            ttl=0.15,
-            heartbeat=False,
-        )
+        real_evaluate = sweep_mod.evaluate_point
+        count_evaluations(monkeypatch, delay=0.8)
+        worker = LeasedWorker(directory, worker_id="slow", ttl=0.15, heartbeat=False)
         thread = threading.Thread(target=worker.run)
         thread.start()
         wait_for_lease_held_by(directory, "slow")
@@ -841,10 +947,13 @@ class TestLeasedWorker:
             time.sleep(0.02)
         thread.join()
         assert stolen is not None, "an unrenewed lease should expire and be reclaimed"
-        # Both executions finish; their records are byte-identical, so the
-        # double execution is benign and the job still merges.
-        rival.complete(stolen)
+        # Both executions finish; their done markers are byte-identical, so
+        # the double execution is benign and the job still merges.
+        marker = (directory / "done" / "00000.json").read_bytes()
+        rival.complete(stolen, sweep_mod.sweep_rows(points, [real_evaluate(points[0])])[0])
+        assert (directory / "done" / "00000.json").read_bytes() == marker
         assert job_status(directory)["done"] == 1
+        assert merge_job(directory).num_rows == 1
 
     def test_sigkilled_worker_subprocess_points_are_reclaimed(self, tmp_path, shared_cache):
         """A worker killed with SIGKILL strands its lease; expiry frees it.
